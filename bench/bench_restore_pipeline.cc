@@ -1,4 +1,4 @@
-// bench_restore_pipeline — monolithic vs streaming restore of a committed
+// bench_restore_pipeline — unstaged vs streaming restore of a committed
 // multi-cloud image on a latency-skewed 4-cloud setup (real-time
 // LatentCloud throttling, not the discrete-event simulator: the point is
 // wall-clock overlap of the fetch, decode and write stages, which only
@@ -7,9 +7,11 @@
 // Workload: 48 files x 512 KiB, theta = 256 KiB, four clouds with skewed
 // request latencies and downlinks. The data is uploaded once through raw
 // in-memory clouds; each restore round then syncs a fresh reader through
-// latency-throttled views of the same clouds. The monolithic reader
-// (pipeline.enabled = false) reconstructs one segment at a time; the
-// streaming reader overlaps block fetches across segments and files,
+// latency-throttled views of the same clouds. Both readers run the same
+// restore pipeline. The unstaged reader degenerates it to one segment at a
+// time (an in-flight cap of 1 byte, which the admission gate only opens
+// for an empty pipeline), so it fetches and decodes segment by segment;
+// the streaming reader overlaps block fetches across segments and files,
 // decodes in parallel and writes in snapshot order behind a bounded
 // prefetch window.
 //
@@ -48,8 +50,12 @@ core::ClientConfig reader_config(const std::string& device, bool pipelined) {
   core::ClientConfig cfg;
   cfg.device = device;
   cfg.theta = kTheta;
-  cfg.pipeline.enabled = pipelined;
-  cfg.pipeline.max_inflight_bytes = kInflightCap;
+  if (pipelined) {
+    cfg.pipeline.max_inflight_bytes = kInflightCap;
+  } else {
+    cfg.pipeline.encode_workers = 1;
+    cfg.pipeline.max_inflight_bytes = 1;
+  }
   return cfg;
 }
 
@@ -69,7 +75,7 @@ RoundResult run_round(const cloud::MultiCloud& raw, bool pipelined) {
 
   auto fs = std::make_shared<core::MemoryLocalFs>();
   core::UniDriveClient reader(
-      clouds, fs, reader_config(pipelined ? "stream" : "mono", pipelined));
+      clouds, fs, reader_config(pipelined ? "stream" : "unstaged", pipelined));
 
   const auto start = std::chrono::steady_clock::now();
   const auto report = reader.sync();
@@ -122,16 +128,17 @@ int run() {
     }
   }
 
-  const RoundResult mono = run_round(raw, /*pipelined=*/false);
-  std::printf("  monolithic : %6.3f s  (%zu files)\n", mono.seconds,
-              mono.files);
+  const RoundResult unstaged = run_round(raw, /*pipelined=*/false);
+  std::printf("  unstaged   : %6.3f s  (%zu files)\n", unstaged.seconds,
+              unstaged.files);
   const RoundResult pipe = run_round(raw, /*pipelined=*/true);
   std::printf("  streaming  : %6.3f s  (%zu files, peak in-flight "
               "%.1f MiB, cap %.1f MiB)\n",
               pipe.seconds, pipe.files, pipe.inflight_peak / (1 << 20),
               static_cast<double>(kInflightCap) / (1 << 20));
 
-  const double speedup = pipe.seconds > 0 ? mono.seconds / pipe.seconds : 0;
+  const double speedup =
+      pipe.seconds > 0 ? unstaged.seconds / pipe.seconds : 0;
   std::printf("  speedup    : %.2fx\n", speedup);
 
   FILE* json = std::fopen("BENCH_restore.json", "w");
@@ -140,14 +147,14 @@ int run() {
                  "{\n"
                  "  \"files\": %d,\n"
                  "  \"file_bytes\": %zu,\n"
-                 "  \"monolithic_s\": %.4f,\n"
+                 "  \"unstaged_s\": %.4f,\n"
                  "  \"streaming_s\": %.4f,\n"
                  "  \"speedup\": %.3f,\n"
                  "  \"inflight_peak_bytes\": %.0f,\n"
                  "  \"inflight_final_bytes\": %.0f,\n"
                  "  \"inflight_cap_bytes\": %zu\n"
                  "}\n",
-                 kFiles, kFileBytes, mono.seconds, pipe.seconds, speedup,
+                 kFiles, kFileBytes, unstaged.seconds, pipe.seconds, speedup,
                  pipe.inflight_peak, pipe.inflight_final, kInflightCap);
     std::fclose(json);
   }

@@ -1,13 +1,16 @@
-// bench_sync_pipeline — monolithic vs pipelined sync round on a
+// bench_sync_pipeline — unstaged vs pipelined sync round on a
 // latency-skewed 4-cloud setup (real-time LatentCloud throttling, not the
 // discrete-event simulator: the point is wall-clock overlap of the scan,
 // encode and transfer stages, which only exists in real time).
 //
 // Workload: 64 files x 512 KiB, theta = 256 KiB, four clouds with
-// 10/15/20/30 ms request latency and 400/300/200/100 MB/s uplinks. The
-// monolithic round (pipeline.enabled = false) must finish the full scan
-// before the first byte is uploaded; the pipelined round streams segments
-// into encode/transfer while later files are still being hashed.
+// 3/4/6/9 ms request latency and 800/600/400/200 MB/s uplinks. Both rounds
+// run the same pipeline. The unstaged round degenerates it to one segment
+// at a time (one encode worker, and an in-flight cap of 1 byte, which the
+// admission gate only opens for an empty pipeline), so the scan, encode
+// and transfer of consecutive segments never overlap; the pipelined round
+// streams segments into encode/transfer while later files are still being
+// hashed.
 //
 // Emits BENCH_pipeline.json (CI artifact). Exit code 1 only if the
 // pipelined round's peak in-flight bytes exceeded the configured cap —
@@ -61,8 +64,12 @@ RoundResult run_round(bool pipelined) {
   core::ClientConfig cfg;
   cfg.device = "bench";
   cfg.theta = kTheta;
-  cfg.pipeline.enabled = pipelined;
-  cfg.pipeline.max_inflight_bytes = kInflightCap;
+  if (pipelined) {
+    cfg.pipeline.max_inflight_bytes = kInflightCap;
+  } else {
+    cfg.pipeline.encode_workers = 1;
+    cfg.pipeline.max_inflight_bytes = 1;
+  }
   core::UniDriveClient client(clouds, fs, cfg);
 
   Rng rng(42);
@@ -99,9 +106,9 @@ int run() {
               "4 skewed clouds\n",
               kFiles, kFileBytes >> 10, kTheta >> 10);
 
-  const RoundResult mono = run_round(/*pipelined=*/false);
-  std::printf("  monolithic : %6.3f s  (%zu segments)\n", mono.seconds,
-              mono.segments);
+  const RoundResult unstaged = run_round(/*pipelined=*/false);
+  std::printf("  unstaged   : %6.3f s  (%zu segments)\n", unstaged.seconds,
+              unstaged.segments);
   const RoundResult pipe = run_round(/*pipelined=*/true);
   std::printf("  pipelined  : %6.3f s  (%zu segments, peak in-flight "
               "%.1f MiB, cap %.1f MiB)\n",
@@ -109,7 +116,8 @@ int run() {
               pipe.inflight_peak / (1 << 20),
               static_cast<double>(kInflightCap) / (1 << 20));
 
-  const double speedup = pipe.seconds > 0 ? mono.seconds / pipe.seconds : 0;
+  const double speedup =
+      pipe.seconds > 0 ? unstaged.seconds / pipe.seconds : 0;
   std::printf("  speedup    : %.2fx\n", speedup);
 
   FILE* json = std::fopen("BENCH_pipeline.json", "w");
@@ -119,14 +127,14 @@ int run() {
                  "  \"files\": %d,\n"
                  "  \"file_bytes\": %zu,\n"
                  "  \"segments\": %zu,\n"
-                 "  \"monolithic_s\": %.4f,\n"
+                 "  \"unstaged_s\": %.4f,\n"
                  "  \"pipelined_s\": %.4f,\n"
                  "  \"speedup\": %.3f,\n"
                  "  \"inflight_peak_bytes\": %.0f,\n"
                  "  \"inflight_final_bytes\": %.0f,\n"
                  "  \"inflight_cap_bytes\": %zu\n"
                  "}\n",
-                 kFiles, kFileBytes, pipe.segments, mono.seconds,
+                 kFiles, kFileBytes, pipe.segments, unstaged.seconds,
                  pipe.seconds, speedup, pipe.inflight_peak,
                  pipe.inflight_final, kInflightCap);
     std::fclose(json);

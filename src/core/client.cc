@@ -105,11 +105,8 @@ void UniDriveClient::rebuild_guards() {
 
 void UniDriveClient::rebuild_async_clouds() {
   async_clouds_.clear();
-  io_executor_ = config_.pipeline.io_threads > 0
-                     ? std::make_shared<Executor>(config_.pipeline.io_threads)
-                     : executor_;
   cloud::AsyncContext ctx;
-  ctx.io = io_executor_.get();
+  ctx.io = executor_.get();
   ctx.clock = &clock_;
   ctx.sleep = config_.sleep;
   ctx.obs = obs_;
@@ -195,19 +192,33 @@ std::unique_ptr<UploadPipeline> UniDriveClient::make_pipeline(
     const sched::CodeParams& params) {
   return std::make_unique<UploadPipeline>(
       params, codec_for(params), cloud_ids(), config_.driver, monitor_,
-      executor_, [this](cloud::CloudId id) { return find_cloud(id); },
-      config_.pipeline, health_, obs_,
-      [this](cloud::CloudId id) { return find_async_cloud(id); },
-      config_.pool, config_.folder_id);
+      executor_, [this](cloud::CloudId id) { return find_async_cloud(id); },
+      config_.pipeline, health_, obs_, config_.pool, config_.folder_id);
 }
 
-std::unique_ptr<DownloadPipeline> UniDriveClient::make_download_pipeline(
-    const sched::CodeParams& params) {
-  return std::make_unique<DownloadPipeline>(
-      params.k, codec_for(params), cloud_ids(), config_.driver, monitor_,
-      executor_, [this](cloud::CloudId id) { return find_cloud(id); },
-      config_.pipeline, *fs_, health_, obs_,
-      [this](cloud::CloudId id) { return find_async_cloud(id); });
+Status UniDriveClient::restore_files(
+    const std::vector<const FileSnapshot*>& snapshots,
+    const SyncFolderImage& image, std::size_t* restored) {
+  const sched::CodeParams params = code_params();
+  // Invalid CodeParams fail only a restore that has segment data to fetch.
+  const bool has_data = std::any_of(
+      snapshots.begin(), snapshots.end(),
+      [](const FileSnapshot* s) { return !s->segment_ids.empty(); });
+  if (has_data) UNI_RETURN_IF_ERROR(params.validate());
+  DownloadPipeline pipeline(params.k, codec_for(params), cloud_ids(),
+                            config_.driver, monitor_, executor_,
+                            [this](cloud::CloudId id) {
+                              return find_async_cloud(id);
+                            },
+                            config_.pipeline, *fs_, health_, obs_);
+  for (const FileSnapshot* snapshot : snapshots) {
+    pipeline.add_file(*snapshot, image);
+  }
+  for (const DownloadPipeline::FileResult& r : pipeline.finish()) {
+    UNI_RETURN_IF_ERROR(r.status);
+    if (restored != nullptr) ++*restored;
+  }
+  return Status::ok();
 }
 
 // Fetches, decodes and integrity-checks one segment. On an integrity
@@ -246,20 +257,35 @@ Result<Bytes> UniDriveClient::fetch_segment(
 
   sched::StreamingDownloadDriver driver(
       params.k, cloud_ids(), config_.driver, monitor_, executor_,
-      [&](const sched::BlockTask& task) -> Status {
-        cloud::CloudProvider* provider = find_cloud(task.cloud);
+      [&](const sched::BlockTask& task,
+          sched::TransferDoneFn done) -> cloud::AsyncHandle {
+        cloud::AsyncCloud* provider = find_async_cloud(task.cloud);
         if (provider == nullptr) {
-          return make_error(ErrorCode::kInternal, "unknown cloud");
+          // Never complete on the launching stack (cloud/async.h).
+          executor_->submit([done = std::move(done)] {
+            done(make_error(ErrorCode::kInternal, "unknown cloud"));
+          });
+          return {};
         }
-        auto data = provider->download(
-            metadata::block_path(task.segment_id, task.block_index));
-        if (!data.is_ok()) return data.status();
-        std::lock_guard<std::mutex> guard(mu);
-        // A hedge duplicate may land second; keep the first copy.
-        if (fetched_indices.insert(task.block_index).second) {
-          shards.push_back({task.block_index, std::move(data).take()});
-        }
-        return Status::ok();
+        const std::uint32_t index = task.block_index;
+        // The locals captured by reference outlive every completion: the
+        // driver is destroyed first, and its destructor waits them out.
+        return provider->download_async(
+            metadata::block_path(task.segment_id, index),
+            [&, index, done = std::move(done)](Result<Bytes> data) {
+              if (!data.is_ok()) {
+                done(data.status());
+                return;
+              }
+              {
+                std::lock_guard<std::mutex> guard(mu);
+                // A hedge duplicate may land second; keep the first copy.
+                if (fetched_indices.insert(index).second) {
+                  shards.push_back({index, std::move(data).take()});
+                }
+              }
+              done(Status::ok());
+            });
       },
       health_, obs_,
       [&](const std::string&, bool ok) {
@@ -307,60 +333,6 @@ Result<Bytes> UniDriveClient::fetch_segment(
   }
 }
 
-Status UniDriveClient::materialize_file(const FileSnapshot& snapshot,
-                                        const SyncFolderImage& image) {
-  const sched::CodeParams params = code_params();
-  if (config_.pipeline.enabled && params.validate().is_ok()) {
-    auto pipeline = make_download_pipeline(params);
-    pipeline->add_file(snapshot, image);
-    const auto results = pipeline->finish();
-    return results.empty() ? Status::ok() : results.front().status;
-  }
-
-  // Monolithic fallback: fetch + decode one segment at a time, streaming
-  // each into the writer — peak memory is one segment, not the file, and
-  // a failed restore aborts the writer instead of leaving a partial file.
-  UNI_ASSIGN_OR_RETURN(std::unique_ptr<LocalFs::FileWriter> writer,
-                       fs_->open_write(snapshot.path));
-  crypto::Sha1 hasher;
-  std::uint64_t written = 0;
-  for (const std::string& seg_id : snapshot.segment_ids) {
-    const SegmentInfo* seg = image.find_segment(seg_id);
-    if (seg == nullptr) {
-      writer->abort();
-      return make_error(ErrorCode::kCorrupt,
-                        "snapshot references unknown segment " + seg_id);
-    }
-    auto piece = fetch_segment(*seg, {});
-    if (!piece.is_ok()) {
-      writer->abort();
-      return piece.status();
-    }
-    const Status appended = writer->append(ByteSpan(piece.value()));
-    if (!appended.is_ok()) {
-      writer->abort();
-      return appended;
-    }
-    hasher.update(ByteSpan(piece.value()));
-    written += piece.value().size();
-  }
-  if (written != snapshot.size) {
-    writer->abort();
-    return make_error(ErrorCode::kCorrupt,
-                      "assembled size mismatch for " + snapshot.path);
-  }
-  if (!snapshot.content_hash.empty()) {
-    const crypto::Sha1::Digest digest = hasher.finish();
-    if (to_hex(ByteSpan(digest.data(), digest.size())) !=
-        snapshot.content_hash) {
-      writer->abort();
-      return make_error(ErrorCode::kCorrupt,
-                        "content hash mismatch for " + snapshot.path);
-    }
-  }
-  return writer->commit();
-}
-
 Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
     const SyncFolderImage& target) {
   const metadata::ImageDiff diff = metadata::diff_images(image_, target);
@@ -402,22 +374,8 @@ Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
   }
 
   if (!to_download.empty()) {
-    const sched::CodeParams params = code_params();
-    if (config_.pipeline.enabled && params.validate().is_ok()) {
-      auto pipeline = make_download_pipeline(params);
-      for (const FileSnapshot* snapshot : to_download) {
-        pipeline->add_file(*snapshot, target);
-      }
-      for (const DownloadPipeline::FileResult& r : pipeline->finish()) {
-        UNI_RETURN_IF_ERROR(r.status);
-        ++outcome.downloaded;
-      }
-    } else {
-      for (const FileSnapshot* snapshot : to_download) {
-        UNI_RETURN_IF_ERROR(materialize_file(*snapshot, target));
-        ++outcome.downloaded;
-      }
-    }
+    UNI_RETURN_IF_ERROR(
+        restore_files(to_download, target, &outcome.downloaded));
   }
 
   for (const std::string& d : diff.removed_dirs) {
@@ -747,12 +705,14 @@ Result<SyncReport> UniDriveClient::sync() {
   const sched::CodeParams params = code_params();
   const bool params_ok = params.validate().is_ok();
 
-  // Staged mode: stand the pipeline up BEFORE the scan so CDC output
-  // streams straight into encode/transfer while the scanner is still
-  // walking files. Invalid CodeParams fall through to the batch branch,
-  // which surfaces the validation error only if there is data to upload.
+  // Stand the pipeline up BEFORE the scan so CDC output streams straight
+  // into encode/transfer while the scanner is still walking files. With
+  // invalid CodeParams there is no pipeline: the scan collects new
+  // segments instead, and the validation error surfaces only if there is
+  // data to upload. The pipeline lives until the end of the round so its
+  // segment-pool pins survive the metadata commit.
   std::unique_ptr<UploadPipeline> pipeline;
-  if (params_ok && config_.pipeline.enabled) pipeline = make_pipeline(params);
+  if (params_ok) pipeline = make_pipeline(params);
 
   ScanResult scan;
   {
@@ -775,31 +735,19 @@ Result<SyncReport> UniDriveClient::sync() {
     std::vector<SegmentInfo> uploaded;
     {
       obs::Span upload_span = round_span.child("sync.upload_segments");
-      if (pipeline != nullptr) {
+      if (pipeline == nullptr) {
+        if (!scan.new_segments.empty()) return params.validate();
+      } else {
         UNI_ASSIGN_OR_RETURN(uploaded, pipeline->finish());
-      } else if (!scan.new_segments.empty()) {
-        UNI_RETURN_IF_ERROR(params.validate());
-        // Monolithic fallback: one batch round through the same object.
-        // Assigned to the function-scope pointer so its segment-pool pins
-        // survive until after the metadata commit below.
-        pipeline = make_pipeline(params);
-        for (auto& [id, bytes] : scan.new_segments) {
-          pipeline->feed(id, std::move(bytes));
-        }
-        UNI_ASSIGN_OR_RETURN(uploaded, pipeline->finish());
+        const UploadPipeline::DedupStats dedup = pipeline->dedup_stats();
+        report.segments_deduped = dedup.segments;
+        report.dedup_bytes_saved = dedup.bytes_saved;
+        // `uploaded` carries one record per fed segment, dedup hits
+        // included; clamp so a result subset can never underflow size_t.
+        report.segments_uploaded = uploaded.size() >= dedup.segments
+                                       ? uploaded.size() - dedup.segments
+                                       : 0;
       }
-    }
-    if (pipeline != nullptr) {
-      const UploadPipeline::DedupStats dedup = pipeline->dedup_stats();
-      report.segments_deduped = dedup.segments;
-      report.dedup_bytes_saved = dedup.bytes_saved;
-      // `uploaded` carries one record per fed segment, dedup hits
-      // included; clamp so a result subset can never underflow size_t.
-      report.segments_uploaded = uploaded.size() >= dedup.segments
-                                     ? uploaded.size() - dedup.segments
-                                     : 0;
-    } else {
-      report.segments_uploaded = uploaded.size();
     }
 
     // Build v_l = v_o + epsilon (+ fresh segment records).
@@ -1008,8 +956,7 @@ Status UniDriveClient::restore_previous_version(const std::string& path) {
   // fresh local edit and commits it through the normal pipeline (so other
   // devices receive it like any other change). Segments are still in the
   // pool — history snapshots keep them referenced.
-  UNI_RETURN_IF_ERROR(materialize_file(history.front(), image_));
-  return Status::ok();
+  return restore_files({&history.front()}, image_, nullptr);
 }
 
 // Hash-verified slice of a segment out of a local file (the client keeps a

@@ -1,8 +1,9 @@
 // JobRunner — the virtual-time transfer driver shared by transfer_run.cc
 // (single synchronous jobs) and e2e.cc (concurrent uploaders/downloaders).
-// Mirrors sched::ThreadedTransferDriver: per-cloud connection slots, polls
-// idle slots fastest-cloud-first, feeds completions to the scheduler and
-// the throughput monitor, disables persistently failing clouds.
+// Mirrors the pump of the streaming drivers (sched/streaming_driver.h):
+// per-cloud connection slots, polls idle slots fastest-cloud-first, feeds
+// completions to the scheduler and the throughput monitor, disables
+// persistently failing clouds.
 #pragma once
 
 #include <functional>

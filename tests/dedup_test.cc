@@ -491,12 +491,13 @@ TEST(SharedPoolTest, SecondFolderShortCircuitsEncodeAndUpload) {
 }
 
 TEST(SharedPoolTest, MonolithicRoundWithOnlyPoolHitsStillCommitsReferences) {
-  // Regression: with the staged pipeline disabled, the monolithic batch
-  // path used to return an empty result when every fed segment was a pool
-  // hit (nothing ever reached the pending upload map). The client then
-  // committed file snapshots referencing segments with no upsert_segment
-  // record — dangling refs whose probe pin was later released unbacked, so
-  // another folder's GC could delete the blocks from under them.
+  // Regression: a round used to return an empty result when every fed
+  // segment was a pool hit (nothing was ever encoded or transferred). The
+  // client then committed file snapshots referencing segments with no
+  // upsert_segment record — dangling refs whose probe pin was later
+  // released unbacked, so another folder's GC could delete the blocks from
+  // under them. finish() must emit a record per fed segment even when no
+  // segment reached the encode stage.
   auto rig = make_rig(5);
   Rng rng(111);
   const Bytes content = rng.bytes(180000);
@@ -507,10 +508,9 @@ TEST(SharedPoolTest, MonolithicRoundWithOnlyPoolHitsStillCommitsReferences) {
   ASSERT_TRUE(a->sync().is_ok());
   const std::size_t blocks_after_a = rig.data_file_count();
 
-  // Folder B runs the monolithic path and hits the pool on EVERY segment.
+  // Folder B hits the pool on EVERY segment.
   auto fs_b = std::make_shared<MemoryLocalFs>();
   ClientConfig cfg_b = small_config("devB");
-  cfg_b.pipeline.enabled = false;
   cfg_b.pool = rig.pool;
   cfg_b.folder_id = "folderB";
   auto b = std::make_unique<UniDriveClient>(rig.folder_clouds("fb"), fs_b,

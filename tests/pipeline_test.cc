@@ -23,6 +23,7 @@
 #include "core/upload_pipeline.h"
 #include "erasure/rs.h"
 #include "sched/streaming_driver.h"
+#include "transfer_test_util.h"
 
 namespace unidrive::core {
 namespace {
@@ -183,11 +184,12 @@ TEST(StreamingDriverTest, IncrementalFeedPreservesPlacementInvariants) {
 
   std::mutex mu;
   std::map<std::string, std::set<std::uint32_t>> uploaded;
-  const sched::TransferFn transfer = [&](const sched::BlockTask& task) {
-    std::lock_guard<std::mutex> g(mu);
-    uploaded[task.segment_id].insert(task.block_index);
-    return Status::ok();
-  };
+  const sched::AsyncTransferFn transfer =
+      testing::complete_on(*executor, [&](const sched::BlockTask& task) {
+        std::lock_guard<std::mutex> g(mu);
+        uploaded[task.segment_id].insert(task.block_index);
+        return Status::ok();
+      });
 
   std::mutex settled_mu;
   std::set<std::string> settled;
@@ -233,7 +235,7 @@ TEST(StreamingDriverTest, IncrementalFeedPreservesPlacementInvariants) {
   }
 }
 
-// --- UploadPipeline: cancellation under a hanging cloud ---------------------
+// --- UploadPipeline ----------------------------------------------------------
 
 // Blocks every injected hang until the test opens the gate.
 struct HangGate {
@@ -253,73 +255,6 @@ struct HangGate {
   }
 };
 
-TEST(UploadPipelineTest, CancelUnderHangingCloudReleasesProducerAndBytes) {
-  const sched::CodeParams params{2, 2, 1, 2};
-  ASSERT_TRUE(params.validate().is_ok());
-
-  HangGate gate;
-  cloud::FaultProfile hang_profile;
-  hang_profile.hang_rate = 1.0;
-  hang_profile.hang_seconds = 1.0;
-  std::vector<std::shared_ptr<cloud::FaultyCloud>> faulty;
-  for (int i = 0; i < 2; ++i) {
-    faulty.push_back(std::make_shared<cloud::FaultyCloud>(
-        std::make_shared<cloud::MemoryCloud>(static_cast<cloud::CloudId>(i),
-                                             "c" + std::to_string(i)),
-        hang_profile, /*seed=*/i + 1,
-        [&gate](Duration) { gate.wait(); }));
-  }
-
-  sched::ThroughputMonitor monitor;
-  auto executor = std::make_shared<Executor>(4);
-  PipelineConfig pipeline_config;
-  pipeline_config.encode_queue_capacity = 2;
-  // One 64 KiB segment's footprint (plaintext + 4 shards of 32 KiB) fits;
-  // a second does not, so its producer blocks on the admission gate.
-  pipeline_config.max_inflight_bytes = 200 << 10;
-
-  UploadPipeline pipeline(
-      params, erasure::RsCode(16, params.k), {0, 1}, sched::DriverConfig{2, 3},
-      monitor, executor,
-      [&](cloud::CloudId id) -> cloud::CloudProvider* {
-        return faulty[id].get();
-      },
-      pipeline_config, nullptr, nullptr);
-
-  Rng rng(11);
-  pipeline.feed("hang-seg", rng.bytes(64 << 10));
-
-  // Wait until a transfer is actually stuck inside the injected hang.
-  for (int spin = 0; spin < 5000; ++spin) {
-    if (faulty[0]->hangs() + faulty[1]->hangs() > 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GT(faulty[0]->hangs() + faulty[1]->hangs(), 0u);
-
-  // A second segment cannot be admitted while the first is wedged: its
-  // producer must block, and cancel() must release it.
-  std::atomic<bool> producer_done{false};
-  std::thread producer([&] {
-    pipeline.feed("blocked-seg", rng.bytes(64 << 10));
-    producer_done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(producer_done.load());
-
-  pipeline.cancel();
-  producer.join();  // released without the cloud ever answering
-  EXPECT_TRUE(producer_done.load());
-
-  gate.release();  // let the stuck transfers finish their current request
-  const auto result = pipeline.finish();
-  ASSERT_FALSE(result.is_ok());
-  EXPECT_EQ(result.code(), ErrorCode::kUnavailable);
-  // No queued segment bytes leaked past the drain.
-  EXPECT_EQ(pipeline.inflight_bytes(), 0u);
-}
-
-// --- UploadPipeline: completion-based (async) transfer mode ------------------
-
 // Builds async twins of `providers` over `io` and returns a resolver for
 // the pipeline's FindAsyncCloudFn slot. The twins must outlive the
 // pipeline, so the caller keeps the returned vector alive.
@@ -338,46 +273,82 @@ FindAsyncCloudFn async_lookup(const cloud::AsyncMultiCloud& twins) {
   };
 }
 
-TEST(UploadPipelineTest, AsyncTransfersRoundTripDirectly) {
-  const sched::CodeParams params{4, 3, 2, 3};
+// Cancelling mid-flight with every transfer wedged in an injected hang must
+// release the blocked producer and every reserved byte, and finish() must
+// drain without the cloud ever answering promptly.
+TEST(UploadPipelineTest, CancelUnderHangingCloudReleasesProducerAndBytes) {
+  const sched::CodeParams params{2, 2, 1, 2};
   ASSERT_TRUE(params.validate().is_ok());
 
-  cloud::MultiCloud clouds = make_clouds(4);
+  HangGate gate;
+  cloud::FaultProfile hang_profile;
+  hang_profile.hang_rate = 1.0;
+  hang_profile.hang_seconds = 1.0;
+  cloud::MultiCloud faulty;
+  std::vector<std::shared_ptr<cloud::FaultyCloud>> handles;
+  for (int i = 0; i < 2; ++i) {
+    auto f = std::make_shared<cloud::FaultyCloud>(
+        std::make_shared<cloud::MemoryCloud>(static_cast<cloud::CloudId>(i),
+                                             "c" + std::to_string(i)),
+        hang_profile, /*seed=*/i + 1, [&gate](Duration) { gate.wait(); });
+    handles.push_back(f);
+    faulty.push_back(f);
+  }
+
   sched::ThroughputMonitor monitor;
   auto executor = std::make_shared<Executor>(4);
-  cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
+  cloud::AsyncMultiCloud twins = async_twins(faulty, executor.get());
+  PipelineConfig pipeline_config;
+  pipeline_config.encode_queue_capacity = 2;
+  // One 64 KiB segment's footprint (plaintext + 4 shards of 32 KiB) fits;
+  // a second does not, so its producer blocks on the admission gate.
+  pipeline_config.max_inflight_bytes = 200 << 10;
 
-  UploadPipeline pipeline(
-      params, erasure::RsCode(16, params.k), {0, 1, 2, 3},
-      sched::DriverConfig{2, 3}, monitor, executor,
-      [&](cloud::CloudId id) -> cloud::CloudProvider* {
-        return clouds[id].get();
-      },
-      PipelineConfig{}, nullptr, nullptr, async_lookup(twins));
+  {
+    UploadPipeline pipeline(params, erasure::RsCode(16, params.k), {0, 1},
+                            sched::DriverConfig{2, 3}, monitor, executor,
+                            async_lookup(twins), pipeline_config, nullptr,
+                            nullptr);
 
-  Rng rng(21);
-  for (int i = 0; i < 6; ++i) {
-    pipeline.feed("seg" + std::to_string(i), rng.bytes(64 << 10));
+    Rng rng(11);
+    pipeline.feed("hang-seg", rng.bytes(64 << 10));
+
+    // Wait until a transfer is actually stuck inside the injected hang.
+    for (int spin = 0; spin < 5000; ++spin) {
+      if (handles[0]->hangs() + handles[1]->hangs() > 0) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GT(handles[0]->hangs() + handles[1]->hangs(), 0u);
+
+    // A second segment cannot be admitted while the first is wedged: its
+    // producer must block, and cancel() must release it.
+    std::atomic<bool> producer_done{false};
+    std::thread producer([&] {
+      pipeline.feed("blocked-seg", rng.bytes(64 << 10));
+      producer_done.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(producer_done.load());
+
+    pipeline.cancel();
+    producer.join();  // released without the cloud ever answering
+    EXPECT_TRUE(producer_done.load());
+
+    gate.release();  // let the wedged completions resolve
+    const auto result = pipeline.finish();
+    ASSERT_FALSE(result.is_ok());
+    EXPECT_EQ(result.code(), ErrorCode::kUnavailable);
+    // No queued segment bytes leaked past the drain.
+    EXPECT_EQ(pipeline.inflight_bytes(), 0u);
   }
-  const auto result = pipeline.finish();
-  ASSERT_TRUE(result.is_ok()) << result.status().message();
-  ASSERT_EQ(result.value().size(), 6u);
-  for (const auto& seg : result.value()) {
-    EXPECT_GE(seg.blocks.size(), params.k) << seg.id;
-  }
-  EXPECT_EQ(pipeline.inflight_bytes(), 0u);
-  std::uint64_t stored = 0;
-  for (const auto& c : clouds) {
-    stored +=
-        std::static_pointer_cast<cloud::MemoryCloud>(c)->stored_bytes();
-  }
-  EXPECT_GT(stored, 0u);
+  // The pipeline destructor waited out every launched completion, so the
+  // async twins (and their executor) can be torn down safely here.
 }
 
-// The async analog of the hang-cancellation test: cancelling mid-flight
-// with completion-based transfers must release the blocked producer and
-// every reserved byte, and finish() must drain without the cloud ever
-// answering promptly.
+// The same cancellation, but the pipeline is destroyed without finish()
+// while its completions are still wedged: the destructor must release the
+// blocked producer and then wait out every launched completion before the
+// async twins and the executor they run on go away.
 TEST(UploadPipelineTest, AsyncCancelUnderHangingCloudReleasesProducer) {
   const sched::CodeParams params{2, 2, 1, 2};
   ASSERT_TRUE(params.validate().is_ok());
@@ -404,14 +375,13 @@ TEST(UploadPipelineTest, AsyncCancelUnderHangingCloudReleasesProducer) {
   pipeline_config.encode_queue_capacity = 2;
   pipeline_config.max_inflight_bytes = 200 << 10;
 
+  std::atomic<bool> gate_opened{false};
+  std::thread opener;
   {
-    UploadPipeline pipeline(
-        params, erasure::RsCode(16, params.k), {0, 1},
-        sched::DriverConfig{2, 3}, monitor, executor,
-        [&](cloud::CloudId id) -> cloud::CloudProvider* {
-          return faulty[id].get();
-        },
-        pipeline_config, nullptr, nullptr, async_lookup(twins));
+    UploadPipeline pipeline(params, erasure::RsCode(16, params.k), {0, 1},
+                            sched::DriverConfig{2, 3}, monitor, executor,
+                            async_lookup(twins), pipeline_config, nullptr,
+                            nullptr);
 
     Rng rng(12);
     pipeline.feed("hang-seg", rng.bytes(64 << 10));
@@ -433,13 +403,49 @@ TEST(UploadPipelineTest, AsyncCancelUnderHangingCloudReleasesProducer) {
     producer.join();
     EXPECT_TRUE(producer_done.load());
 
-    gate.release();  // let the wedged completions resolve
-    const auto result = pipeline.finish();
-    ASSERT_FALSE(result.is_ok());
-    EXPECT_EQ(pipeline.inflight_bytes(), 0u);
+    // Open the gate only after the destructor has started waiting.
+    opener = std::thread([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      gate_opened.store(true);
+      gate.release();
+    });
   }
-  // The pipeline destructor waited out every launched completion, so the
-  // async twins (and their executor) can be torn down safely here.
+  // The destructor could only return once the wedged completions resolved.
+  EXPECT_TRUE(gate_opened.load());
+  opener.join();
+}
+
+TEST(UploadPipelineTest, AsyncTransfersRoundTripDirectly) {
+  const sched::CodeParams params{4, 3, 2, 3};
+  ASSERT_TRUE(params.validate().is_ok());
+
+  cloud::MultiCloud clouds = make_clouds(4);
+  sched::ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(4);
+  cloud::AsyncMultiCloud twins = async_twins(clouds, executor.get());
+
+  UploadPipeline pipeline(params, erasure::RsCode(16, params.k), {0, 1, 2, 3},
+                          sched::DriverConfig{2, 3}, monitor, executor,
+                          async_lookup(twins), PipelineConfig{}, nullptr,
+                          nullptr);
+
+  Rng rng(21);
+  for (int i = 0; i < 6; ++i) {
+    pipeline.feed("seg" + std::to_string(i), rng.bytes(64 << 10));
+  }
+  const auto result = pipeline.finish();
+  ASSERT_TRUE(result.is_ok()) << result.status().message();
+  ASSERT_EQ(result.value().size(), 6u);
+  for (const auto& seg : result.value()) {
+    EXPECT_GE(seg.blocks.size(), params.k) << seg.id;
+  }
+  EXPECT_EQ(pipeline.inflight_bytes(), 0u);
+  std::uint64_t stored = 0;
+  for (const auto& c : clouds) {
+    stored +=
+        std::static_pointer_cast<cloud::MemoryCloud>(c)->stored_bytes();
+  }
+  EXPECT_GT(stored, 0u);
 }
 
 // --- end-to-end sync through the pipeline -----------------------------------
@@ -467,28 +473,6 @@ TEST(PipelineSyncTest, RoundTripsAcrossDevices) {
   EXPECT_TRUE(applied.value().applied_cloud);
   EXPECT_EQ(fs_b->read("/big.bin").value(), big);
   EXPECT_EQ(fs_b->read("/note.txt").value(), text("hello"));
-}
-
-TEST(PipelineSyncTest, MonolithicModeMatchesPipelinedResult) {
-  cloud::MultiCloud clouds = make_clouds(4);
-  auto fs_a = std::make_shared<MemoryLocalFs>();
-  ClientConfig cfg = test_config("a");
-  cfg.pipeline.enabled = false;  // legacy batch round
-  UniDriveClient a(clouds, fs_a, cfg);
-
-  Rng rng(4);
-  const Bytes data = rng.bytes(300 << 10);
-  ASSERT_TRUE(fs_a->write("/data.bin", ByteSpan(data)).is_ok());
-  const auto report = a.sync();
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_TRUE(report.value().committed);
-  EXPECT_GT(report.value().segments_uploaded, 0u);
-
-  // A pipelined reader reconstructs the batch-uploaded data.
-  auto fs_b = std::make_shared<MemoryLocalFs>();
-  UniDriveClient b(clouds, fs_b, test_config("b"));
-  ASSERT_TRUE(b.sync().is_ok());
-  EXPECT_EQ(fs_b->read("/data.bin").value(), data);
 }
 
 TEST(PipelineSyncTest, InflightBytesStayUnderCapAndDrainToZero) {
@@ -532,54 +516,8 @@ TEST(PipelineSyncTest, SingleThreadedDegradationStillRoundTrips) {
   EXPECT_EQ(fs_b->read("/one.bin").value(), data);
 }
 
-// The SyncAdapter fallback contract: forcing the blocking one-thread-per-
-// RPC path (async_transfers = false) must leave every roundtrip intact.
-TEST(PipelineSyncTest, BlockingTransferFallbackStillRoundTrips) {
-  cloud::MultiCloud clouds = make_clouds(4);
-  auto fs_a = std::make_shared<MemoryLocalFs>();
-  ClientConfig cfg = test_config("a");
-  cfg.pipeline.async_transfers = false;
-  UniDriveClient a(clouds, fs_a, cfg);
-
-  Rng rng(7);
-  const Bytes data = rng.bytes(256 << 10);
-  ASSERT_TRUE(fs_a->write("/fallback.bin", ByteSpan(data)).is_ok());
-  const auto report = a.sync();
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_TRUE(report.value().committed);
-
-  // An async-mode reader reconstructs what the blocking writer uploaded.
-  auto fs_b = std::make_shared<MemoryLocalFs>();
-  UniDriveClient b(clouds, fs_b, test_config("b"));
-  ASSERT_TRUE(b.sync().is_ok());
-  EXPECT_EQ(fs_b->read("/fallback.bin").value(), data);
-}
-
-// A dedicated I/O pool (pipeline.io_threads > 0) carves the SyncAdapter
-// leaf RPCs out of the pipeline executor; the roundtrip must be unchanged.
-TEST(PipelineSyncTest, DedicatedIoPoolRoundTrips) {
-  cloud::MultiCloud clouds = make_clouds(4);
-  auto fs_a = std::make_shared<MemoryLocalFs>();
-  ClientConfig cfg = test_config("a");
-  cfg.pipeline.io_threads = 3;
-  UniDriveClient a(clouds, fs_a, cfg);
-
-  Rng rng(8);
-  const Bytes data = rng.bytes(256 << 10);
-  ASSERT_TRUE(fs_a->write("/dedicated.bin", ByteSpan(data)).is_ok());
-  const auto report = a.sync();
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_TRUE(report.value().committed);
-
-  auto fs_b = std::make_shared<MemoryLocalFs>();
-  UniDriveClient b(clouds, fs_b, test_config("b"));
-  ASSERT_TRUE(b.sync().is_ok());
-  EXPECT_EQ(fs_b->read("/dedicated.bin").value(), data);
-}
-
-// Async transfers are the default: the in-flight RPC gauges must report
-// launches, proving the completion-based path (not the blocking fallback)
-// actually carried the round.
+// The in-flight RPC gauges must report launches from the completion-based
+// transfer path and drain back to zero by the end of the round.
 TEST(PipelineSyncTest, AsyncModeReportsInflightRpcGauges) {
   cloud::MultiCloud clouds = make_clouds(4);
   auto fs = std::make_shared<MemoryLocalFs>();

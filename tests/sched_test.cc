@@ -1,16 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <set>
 
 #include "cloud/memory_cloud.h"
+#include "common/executor.h"
 #include "common/rng.h"
 #include "sched/download_scheduler.h"
 #include "sched/monitor.h"
 #include "sched/plan.h"
 #include "sched/rebalance.h"
-#include "sched/threaded_driver.h"
+#include "sched/streaming_driver.h"
 #include "sched/upload_scheduler.h"
+#include "transfer_test_util.h"
 
 namespace unidrive::sched {
 namespace {
@@ -448,50 +455,72 @@ TEST(DownloadSchedulerTest, FetchedBlocksReported) {
   EXPECT_EQ(blocks[0], t->block_index);
 }
 
-// --- ThreadedTransferDriver ---------------------------------------------------------
+// --- Streaming drivers ------------------------------------------------------------
 
-TEST(ThreadedDriverTest, CompletesUploadJob) {
+TEST(StreamingDriverTest, CompletesUploadJob) {
   ThroughputMonitor monitor;
-  DriverConfig cfg;
-  cfg.connections_per_cloud = 2;
-  ThreadedTransferDriver driver(five_clouds(), cfg, monitor);
-
-  UploadScheduler scheduler(paper_params(), five_clouds(),
-                            {one_file("a"), one_file("b"), one_file("c")});
+  auto executor = std::make_shared<Executor>(4);
   std::atomic<int> transfers{0};
-  driver.run_upload(scheduler, [&](const BlockTask&) {
-    ++transfers;
-    return Status::ok();
-  });
-  EXPECT_TRUE(scheduler.finished());
-  EXPECT_TRUE(scheduler.all_reliable());
+  StreamingUploadDriver driver(
+      paper_params(), five_clouds(), DriverConfig{2, 3}, monitor, executor,
+      testing::complete_on(*executor, [&](const BlockTask&) {
+        ++transfers;
+        return Status::ok();
+      }));
+  for (const char* name : {"a", "b", "c"}) driver.add_file(one_file(name));
+  driver.close();
+  driver.wait();
+
+  // Reliable: with every cloud healthy, each one ends up holding its fair
+  // share of every segment.
+  for (const char* name : {"a", "b", "c"}) {
+    std::map<cloud::CloudId, std::size_t> per_cloud;
+    for (const auto& b : driver.locations(std::string(name) + "_seg")) {
+      ++per_cloud[b.cloud];
+    }
+    for (const cloud::CloudId c : five_clouds()) {
+      EXPECT_GE(per_cloud[c], paper_params().fair_share()) << name << c;
+    }
+  }
   EXPECT_GE(transfers.load(), 15);  // 3 files x 5 normal blocks
 }
 
-TEST(ThreadedDriverTest, ToleratesFailuresAndStillCompletes) {
+TEST(StreamingDriverTest, ToleratesFailuresAndStillCompletes) {
   ThroughputMonitor monitor;
-  ThreadedTransferDriver driver(five_clouds(), DriverConfig{}, monitor);
-  UploadScheduler scheduler(paper_params(), five_clouds(), {one_file("a")});
-  std::atomic<int> attempt{0};
+  auto executor = std::make_shared<Executor>(4);
   Rng rng(3);
   std::mutex rng_mutex;
-  driver.run_upload(scheduler, [&](const BlockTask&) -> Status {
-    ++attempt;
-    std::lock_guard<std::mutex> g(rng_mutex);
-    if (rng.bernoulli(0.3)) {
-      return make_error(ErrorCode::kUnavailable, "flaky");
-    }
-    return Status::ok();
-  });
-  EXPECT_TRUE(scheduler.finished());
-  EXPECT_TRUE(scheduler.all_available());
+  StreamingUploadDriver driver(
+      paper_params(), five_clouds(), DriverConfig{}, monitor, executor,
+      testing::complete_on(*executor, [&](const BlockTask&) -> Status {
+        std::lock_guard<std::mutex> g(rng_mutex);
+        if (rng.bernoulli(0.3)) {
+          return make_error(ErrorCode::kUnavailable, "flaky");
+        }
+        return Status::ok();
+      }));
+  driver.add_file(one_file("a"));
+  driver.close();
+  driver.wait();
+
+  // Available: at least k distinct blocks landed despite 30% failures.
+  std::set<std::uint32_t> distinct;
+  for (const auto& b : driver.locations("a_seg")) {
+    distinct.insert(b.block_index);
+  }
+  EXPECT_GE(distinct.size(), paper_params().k);
 }
 
-TEST(ThreadedDriverTest, RecordsThroughputSamples) {
+TEST(StreamingDriverTest, RecordsThroughputSamples) {
   ThroughputMonitor monitor(123.0);
-  ThreadedTransferDriver driver(five_clouds(), DriverConfig{}, monitor);
-  UploadScheduler scheduler(paper_params(), five_clouds(), {one_file("a")});
-  driver.run_upload(scheduler, [](const BlockTask&) { return Status::ok(); });
+  auto executor = std::make_shared<Executor>(4);
+  StreamingUploadDriver driver(
+      paper_params(), five_clouds(), DriverConfig{}, monitor, executor,
+      testing::complete_on(*executor,
+                           [](const BlockTask&) { return Status::ok(); }));
+  driver.add_file(one_file("a"));
+  driver.close();
+  driver.wait();
   // At least one cloud's estimate moved off the default.
   bool moved = false;
   for (const cloud::CloudId c : five_clouds()) {
@@ -500,14 +529,74 @@ TEST(ThreadedDriverTest, RecordsThroughputSamples) {
   EXPECT_TRUE(moved);
 }
 
-TEST(ThreadedDriverTest, DownloadJobCompletes) {
+TEST(StreamingDriverTest, DownloadJobCompletes) {
   ThroughputMonitor monitor;
-  ThreadedTransferDriver driver(five_clouds(), DriverConfig{}, monitor);
-  DownloadScheduler scheduler(3, {downloadable_file("a"),
-                                  downloadable_file("b")});
-  driver.run_download(scheduler,
-                      [](const BlockTask&) { return Status::ok(); });
-  EXPECT_TRUE(scheduler.all_complete());
+  auto executor = std::make_shared<Executor>(4);
+  std::mutex fetched_mutex;
+  std::map<std::string, int> fetched;
+  std::atomic<int> transfers{0};
+  StreamingDownloadDriver driver(
+      3, five_clouds(), DriverConfig{}, monitor, executor,
+      testing::complete_on(*executor,
+                           [&](const BlockTask&) {
+                             ++transfers;
+                             return Status::ok();
+                           }),
+      nullptr, nullptr, [&](const std::string& id, bool ok) {
+        std::lock_guard<std::mutex> g(fetched_mutex);
+        fetched[id] += ok ? 1 : -1;
+      });
+  driver.add_file(downloadable_file("a"));
+  driver.add_file(downloadable_file("b"));
+  driver.close();
+  driver.wait();
+
+  // Each segment is reported fetched exactly once, after its k blocks.
+  EXPECT_EQ(fetched, (std::map<std::string, int>{{"a_seg", 1}, {"b_seg", 1}}));
+  EXPECT_GE(transfers.load(), 6);  // 2 segments x k = 3 blocks
+  EXPECT_FALSE(driver.cancelled());
+}
+
+// Waits for `driver` to drain; on timeout cancels it (which unblocks
+// wait()) so a regression fails the test instead of hanging it.
+template <typename Driver>
+bool drains(Driver& driver) {
+  auto done = std::async(std::launch::async, [&] { driver.wait(); });
+  if (done.wait_for(std::chrono::seconds(10)) == std::future_status::ready) {
+    return true;
+  }
+  driver.cancel();
+  return false;
+}
+
+// A zero connection budget used to leave both drivers with no free
+// connection, so nothing ever launched and wait() blocked forever. The
+// budget is clamped to one connection per cloud.
+TEST(StreamingDriverTest, ZeroConnectionBudgetStillDrains) {
+  ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(2);
+  const AsyncTransferFn ok = testing::complete_on(
+      *executor, [](const BlockTask&) { return Status::ok(); });
+
+  StreamingUploadDriver up(paper_params(), five_clouds(), DriverConfig{0, 3},
+                           monitor, executor, ok);
+  up.add_file(one_file("a"));
+  up.close();
+  ASSERT_TRUE(drains(up));
+  std::set<std::uint32_t> distinct;
+  for (const auto& b : up.locations("a_seg")) distinct.insert(b.block_index);
+  EXPECT_GE(distinct.size(), paper_params().k);
+
+  std::atomic<int> fetched{0};
+  StreamingDownloadDriver down(
+      3, five_clouds(), DriverConfig{0, 3}, monitor, executor, ok, nullptr,
+      nullptr, [&](const std::string&, bool success) {
+        if (success) ++fetched;
+      });
+  down.add_file(downloadable_file("a"));
+  down.close();
+  ASSERT_TRUE(drains(down));
+  EXPECT_EQ(fetched.load(), 1);
 }
 
 // --- Rebalancer -------------------------------------------------------------------
