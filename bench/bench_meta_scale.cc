@@ -1,18 +1,19 @@
 // bench_meta_scale — commit/catch-up cost of the metadata plane as the
-// folder grows: monolithic MetaStore (one image, O(folder) folds) vs the
-// sharded ShardedMetaStore (per-shard bases + delta logs, O(changed
-// subtree) commits), plus a concurrent-writer ladder over the sharded
-// store with per-shard locks.
+// folder grows: ShardedMetaStore with ONE shard (the unsharded layout: one
+// image, O(folder) folds) vs the same store sharded (per-shard bases +
+// delta logs, O(changed subtree) commits), plus a concurrent-writer ladder
+// over the sharded store with per-shard locks.
 //
 // Ladder: 10k -> 100k -> 1M files (UNIDRIVE_META_SCALE_FILES appends an
 // extra point, e.g. 10000000). At each point we measure a ONE-FILE commit
 // at its amortized-worst moment — the fold the delta policy forces once
-// the log outgrows λ. Monolithic, that fold re-serializes, re-encrypts and
-// re-replicates the entire image; sharded, it folds one shard (shard count
-// scales with the folder, so the shard stays O(changed subtree)). Reader
-// catch-up after that commit is measured the same way: the monolithic
-// reader replays the full image, the sharded reader re-fetches exactly the
-// one advanced shard (version short-circuit serves the rest from cache).
+// the log outgrows λ. With one shard, that fold re-serializes, re-encrypts
+// and re-replicates the entire image; sharded, it folds one shard (shard
+// count scales with the folder, so the shard stays O(changed subtree)).
+// Reader catch-up after that commit is measured the same way on a warm
+// reader: with one shard it replays the full image, sharded it re-fetches
+// exactly the one advanced shard (version short-circuit serves the rest
+// from cache).
 //
 // Writer ladder: 1 -> 1000 writers, each committing one token file to its
 // own subtree through its own ShardedMetaStore + LockManager over shared
@@ -21,7 +22,7 @@
 //
 // Emits BENCH_meta.json (CI artifact). Hard gates (exit 1):
 //   * sharded one-file fold commit at the 1M point is >= 10x faster than
-//     the monolithic equivalent;
+//     the one-shard equivalent;
 //   * sharded commit latency grows sublinearly across the ladder
 //     (O(changed subtree), not O(folder)): the 100x file-count span may
 //     cost at most 10x in commit latency;
@@ -41,7 +42,6 @@
 #include "metadata/changelist.h"
 #include "metadata/shard.h"
 #include "metadata/sharded_store.h"
-#include "metadata/store.h"
 
 namespace unidrive::bench {
 namespace {
@@ -49,7 +49,6 @@ namespace {
 using metadata::Change;
 using metadata::DeltaPolicy;
 using metadata::FileSnapshot;
-using metadata::MetaStore;
 using metadata::ShardConfig;
 using metadata::ShardedMetaStore;
 using metadata::ShardEntry;
@@ -117,117 +116,100 @@ std::uint32_t shards_for(std::size_t files) {
       16, static_cast<std::uint32_t>(files / 16384));
 }
 
+struct Measured {
+  double commit_s = -1;   // 1-file commit, fold forced
+  double catchup_s = -1;  // warm reader fetching that commit
+};
+
 struct PointResult {
   std::size_t files = 0;
-  double mono_commit_s = -1;    // 1-file commit, fold due (O(folder))
-  double mono_catchup_s = -1;   // reader replay after that commit
-  double shard_commit_s = -1;   // 1-file commit, shard fold forced
-  double shard_catchup_s = -1;  // warm reader: one shard re-fetched
+  Measured one_shard;  // the whole image is the shard: O(folder)
+  Measured sharded;    // one shard of ~16k files: O(changed subtree)
   std::uint32_t num_shards = 0;
   bool ok = false;
 };
+
+// Seeds `image` into a fresh store of `num_shards` shards, then measures a
+// one-file commit with the fold forced and a warm reader's catch-up.
+// Unset fields mean the step failed.
+Measured measure(const SyncFolderImage& image, std::uint32_t num_shards,
+                 const std::string& touched) {
+  Measured m;
+  // Fold ALWAYS due: this is the amortized-worst commit once the delta log
+  // outgrows λ — the O(folder)-vs-O(subtree) moment.
+  const DeltaPolicy fold_now{.merge_ratio = 0.0, .merge_floor = 0};
+  auto clouds = make_clouds();
+  ShardConfig cfg;
+  cfg.num_shards = num_shards;
+  ShardedMetaStore store(clouds, "bench-pass", cfg);
+
+  // Seed: one bulk commit of every file (O(folder), paid once at setup).
+  std::vector<Change> seed;
+  seed.reserve(image.files().size());
+  for (const auto& [path, snap] : image.files()) {
+    seed.push_back(Change::upsert_file(snap));
+  }
+  ShardManifest fenced;
+  fenced.num_shards = cfg.num_shards;
+  std::vector<ShardEntry> dirty;
+  for (const auto& slice : split_changes_by_shard(seed, cfg.num_shards)) {
+    auto e = store.publish_shard(slice.shard, nullptr, slice.changes, image,
+                                 {"bench", 1, 0.0}, fold_now);
+    if (!e.is_ok()) return m;
+    dirty.push_back(std::move(e).take());
+  }
+  if (!store.commit_manifest(dirty, fenced, {"bench", 1, 0.0}).is_ok()) {
+    return m;
+  }
+
+  // A warm reader holding v1 (cache primed).
+  ShardedMetaStore reader(clouds, "bench-pass", cfg);
+  if (!reader.fetch_latest().is_ok()) return m;
+
+  // The measured 1-file commit: the fold re-serializes, re-encrypts and
+  // re-replicates the touched shard — the whole image with one shard.
+  SyncFolderImage next = image;
+  FileSnapshot s = snapshot_of(touched);
+  s.content_hash = "sha-v2";
+  const double t0 = now_sec();
+  next.upsert_file(s);
+  next.set_version({"bench", 2, 0.0});
+  std::vector<Change> one{Change::upsert_file(s)};
+  auto fence = store.fetch_manifest();
+  if (!fence.is_ok()) return m;
+  const metadata::ShardId shard =
+      metadata::shard_of_path(touched, cfg.num_shards);
+  auto entry = store.publish_shard(shard, fence.value().find(shard), one,
+                                   next, {"bench", 2, 0.0}, fold_now);
+  if (!entry.is_ok()) return m;
+  if (!store.commit_manifest({entry.value()}, fence.value(),
+                             {"bench", 2, 0.0})
+           .is_ok()) {
+    return m;
+  }
+  const double commit_s = now_sec() - t0;
+
+  // Warm reader catch-up: every clean shard short-circuits from cache, only
+  // the advanced shard is re-fetched and replayed.
+  const double t1 = now_sec();
+  auto caught = reader.fetch_latest();
+  if (!caught.is_ok() ||
+      caught.value().image.files().size() != image.files().size()) {
+    return m;
+  }
+  m.catchup_s = now_sec() - t1;
+  m.commit_s = commit_s;
+  return m;
+}
 
 PointResult run_point(const SyncFolderImage& image, std::size_t files) {
   PointResult r;
   r.files = files;
   r.num_shards = shards_for(files);
-
   const std::string touched = file_path(files / 2);
-  // Fold ALWAYS due: this is the amortized-worst commit both designs pay
-  // once the delta log outgrows λ — the O(folder)-vs-O(subtree) moment.
-  const DeltaPolicy fold_now{.merge_ratio = 0.0, .merge_floor = 0};
-
-  // --- monolithic -----------------------------------------------------------
-  {
-    MetaStore store(make_clouds(), "bench-pass");
-    metadata::DeltaLog empty;
-    if (!store.publish(image, empty, /*upload_base=*/true).is_ok()) return r;
-
-    SyncFolderImage next = image;
-    FileSnapshot s = snapshot_of(touched);
-    s.content_hash = "sha-v2";
-    const double t0 = now_sec();
-    next.upsert_file(s);
-    next.set_version({"bench", 2, 0.0});
-    // The fold: the whole image re-serialized, re-encrypted, re-replicated.
-    if (!store.publish(next, empty, /*upload_base=*/true).is_ok()) return r;
-    r.mono_commit_s = now_sec() - t0;
-
-    // Reader that fetched v1 catches up to v2: full O(folder) replay (the
-    // version short-circuit only helps when NOTHING changed).
-    MetaStore reader(store.clouds(), "bench-pass");
-    const double t1 = now_sec();
-    auto fetched = reader.fetch_latest();
-    if (!fetched.is_ok()) return r;
-    r.mono_catchup_s = now_sec() - t1;
-  }
-
-  // --- sharded --------------------------------------------------------------
-  {
-    auto clouds = make_clouds();
-    ShardConfig cfg;
-    cfg.num_shards = r.num_shards;
-    ShardedMetaStore store(clouds, "bench-pass", cfg);
-
-    // Seed: one bulk commit of every file (O(folder), paid once at setup).
-    std::vector<Change> seed;
-    seed.reserve(files);
-    for (const auto& [path, snap] : image.files()) {
-      seed.push_back(Change::upsert_file(snap));
-    }
-    ShardManifest fenced;
-    fenced.num_shards = cfg.num_shards;
-    std::vector<ShardEntry> dirty;
-    for (const auto& slice :
-         split_changes_by_shard(seed, cfg.num_shards)) {
-      auto e = store.publish_shard(slice.shard, nullptr, slice.changes,
-                                   image, {"bench", 1, 0.0}, fold_now);
-      if (!e.is_ok()) return r;
-      dirty.push_back(std::move(e).take());
-    }
-    if (!store.commit_manifest(dirty, fenced, {"bench", 1, 0.0}).is_ok()) {
-      return r;
-    }
-
-    // A warm reader holding v1 (cache primed).
-    ShardedMetaStore reader(clouds, "bench-pass", cfg);
-    if (!reader.fetch_latest().is_ok()) return r;
-
-    // The measured 1-file commit, fold forced — but the fold touches ONE
-    // shard, whose size is bounded by the routing, not by the folder.
-    SyncFolderImage next = image;
-    FileSnapshot s = snapshot_of(touched);
-    s.content_hash = "sha-v2";
-    const double t0 = now_sec();
-    next.upsert_file(s);
-    next.set_version({"bench", 2, 0.0});
-    std::vector<Change> one{Change::upsert_file(s)};
-    auto fence = store.fetch_manifest();
-    if (!fence.is_ok()) return r;
-    const metadata::ShardId shard =
-        metadata::shard_of_path(touched, cfg.num_shards);
-    auto entry = store.publish_shard(shard, fence.value().find(shard), one,
-                                     next, {"bench", 2, 0.0}, fold_now);
-    if (!entry.is_ok()) return r;
-    if (!store.commit_manifest({entry.value()}, fence.value(),
-                               {"bench", 2, 0.0})
-             .is_ok()) {
-      return r;
-    }
-    r.shard_commit_s = now_sec() - t0;
-
-    // Warm reader catch-up: every clean shard short-circuits from cache,
-    // only the advanced shard is re-fetched and replayed.
-    const double t1 = now_sec();
-    auto caught = reader.fetch_latest();
-    if (!caught.is_ok() ||
-        caught.value().image.files().size() != files) {
-      return r;
-    }
-    r.shard_catchup_s = now_sec() - t1;
-  }
-
-  r.ok = true;
+  r.one_shard = measure(image, 1, touched);
+  r.sharded = measure(image, r.num_shards, touched);
+  r.ok = r.one_shard.catchup_s >= 0 && r.sharded.catchup_s >= 0;
   return r;
 }
 
@@ -324,24 +306,25 @@ int run() {
     if (v > ladder.back()) ladder.push_back(v);
   }
 
-  std::printf("bench_meta_scale: monolithic vs sharded metadata plane, "
+  std::printf("bench_meta_scale: one-shard vs sharded metadata plane, "
               "%d clouds, %zu files/dir\n\n",
               kClouds, kFilesPerDir);
   std::printf("%10s %7s | %12s %12s | %12s %12s | %8s\n", "files", "shards",
-              "mono commit", "mono catchup", "shard commit", "shard catchup",
+              "1shd commit", "1shd catchup", "shard commit", "shard catchup",
               "speedup");
 
   std::vector<PointResult> points;
   for (const std::size_t files : ladder) {
     const SyncFolderImage image = build_image(files);
     PointResult p = run_point(image, files);
-    const double speedup =
-        p.shard_commit_s > 0 ? p.mono_commit_s / p.shard_commit_s : -1;
+    const double speedup = p.sharded.commit_s > 0
+                               ? p.one_shard.commit_s / p.sharded.commit_s
+                               : -1;
     std::printf("%10zu %7u | %10.1f ms %10.1f ms | %10.1f ms %10.1f ms | "
                 "%7.1fx\n",
-                p.files, p.num_shards, p.mono_commit_s * 1e3,
-                p.mono_catchup_s * 1e3, p.shard_commit_s * 1e3,
-                p.shard_catchup_s * 1e3, speedup);
+                p.files, p.num_shards, p.one_shard.commit_s * 1e3,
+                p.one_shard.catchup_s * 1e3, p.sharded.commit_s * 1e3,
+                p.sharded.catchup_s * 1e3, speedup);
     points.push_back(p);
   }
 
@@ -372,11 +355,12 @@ int run() {
                                ? points.back()
                                : points[points.size() - 1];
   const double top_speedup =
-      top.shard_commit_s > 0 ? top.mono_commit_s / top.shard_commit_s : 0;
+      top.sharded.commit_s > 0 ? top.one_shard.commit_s / top.sharded.commit_s
+                               : 0;
   if (top.ok && top_speedup < 10.0) {
     std::fprintf(stderr,
                  "GATE: sharded 1-file commit at %zu files must be >= 10x "
-                 "faster than monolithic, got %.1fx\n",
+                 "faster than one shard, got %.1fx\n",
                  top.files, top_speedup);
     ++failures;
   }
@@ -385,13 +369,13 @@ int run() {
   // absolute numbers).
   const PointResult& base = points.front();
   if (top.ok && base.ok &&
-      top.shard_commit_s > 10.0 * std::max(base.shard_commit_s, 1e-4)) {
+      top.sharded.commit_s > 10.0 * std::max(base.sharded.commit_s, 1e-4)) {
     std::fprintf(stderr,
                  "GATE: sharded commit latency must scale with the changed "
                  "subtree, not the folder: %.1f ms at %zu files vs %.1f ms "
                  "at %zu files\n",
-                 top.shard_commit_s * 1e3, top.files,
-                 base.shard_commit_s * 1e3, base.files);
+                 top.sharded.commit_s * 1e3, top.files,
+                 base.sharded.commit_s * 1e3, base.files);
     ++failures;
   }
   for (const WriterResult& w : writer_results) {
@@ -412,12 +396,13 @@ int run() {
       std::fprintf(
           json,
           "    {\"files\": %zu, \"num_shards\": %u, "
-          "\"mono_commit_s\": %.6f, \"mono_catchup_s\": %.6f, "
+          "\"one_shard_commit_s\": %.6f, \"one_shard_catchup_s\": %.6f, "
           "\"shard_commit_s\": %.6f, \"shard_catchup_s\": %.6f, "
           "\"speedup\": %.2f}%s\n",
-          p.files, p.num_shards, p.mono_commit_s, p.mono_catchup_s,
-          p.shard_commit_s, p.shard_catchup_s,
-          p.shard_commit_s > 0 ? p.mono_commit_s / p.shard_commit_s : -1.0,
+          p.files, p.num_shards, p.one_shard.commit_s, p.one_shard.catchup_s,
+          p.sharded.commit_s, p.sharded.catchup_s,
+          p.sharded.commit_s > 0 ? p.one_shard.commit_s / p.sharded.commit_s
+                                 : -1.0,
           i + 1 < points.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n  \"writer_ladder\": [\n");

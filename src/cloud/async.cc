@@ -1,6 +1,11 @@
 #include "cloud/async.h"
 
+#include <array>
 #include <atomic>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -9,7 +14,6 @@
 #include "cloud/metered_cloud.h"
 #include "cloud/path.h"
 #include "cloud/quota_cloud.h"
-#include "cloud/retrying_cloud.h"
 
 namespace unidrive::cloud {
 
@@ -68,6 +72,27 @@ bool AsyncHandle::cancel() {
 
 namespace {
 
+// A thread blocked in a BlockingCloud call. Until its result arrives it
+// runs the continuations its own op hands back after a wheel delay, so the
+// op never needs a pool thread just to carry on after waiting.
+struct Waiter : std::enable_shared_from_this<Waiter> {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<std::function<void()>> ready;
+  bool done = false;
+
+  void post(std::function<void()> fn) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ready.push_back(std::move(fn));
+    }
+    cv.notify_one();
+  }
+};
+
+// The Waiter of the BlockingCloud call running on this thread, if any.
+thread_local Waiter* t_waiter = nullptr;
+
 using detail::AsyncOpState;
 using OpStatePtr = std::shared_ptr<AsyncOpState>;
 
@@ -97,7 +122,9 @@ AsyncHandle defer_result(const AsyncContext& ctx, Cb done, V value) {
 // wheel timer or inner-cloud handle — is currently armed, and stops further
 // steps from being armed.
 struct OpChain {
-  std::mutex mu;
+  // Recursive: under a BlockingCloud launch a step may complete, and arm
+  // the next one, before the launching chain_step has returned.
+  std::recursive_mutex mu;
   bool cancelled = false;
   AsyncHandle inner;
   TimerWheel::TimerId timer = 0;
@@ -111,7 +138,7 @@ ChainPtr make_chain(const OpStatePtr& state, TimerWheel* wheel) {
     AsyncHandle inner;
     TimerWheel::TimerId timer = 0;
     {
-      std::lock_guard<std::mutex> lock(chain->mu);
+      std::lock_guard<std::recursive_mutex> lock(chain->mu);
       chain->cancelled = true;
       inner = std::move(chain->inner);
       chain->inner = AsyncHandle();
@@ -130,7 +157,7 @@ ChainPtr make_chain(const OpStatePtr& state, TimerWheel* wheel) {
 // not launched.
 template <typename Launch>
 bool chain_step(const ChainPtr& chain, Launch&& launch) {
-  std::lock_guard<std::mutex> lock(chain->mu);
+  std::lock_guard<std::recursive_mutex> lock(chain->mu);
   if (chain->cancelled) return false;
   chain->timer = 0;
   chain->inner = launch();
@@ -143,17 +170,24 @@ template <typename Fn>
 bool chain_delay(const ChainPtr& chain, TimerWheel* wheel, Duration delay,
                  Fn&& fn) {
   {
-    std::lock_guard<std::mutex> lock(chain->mu);
+    std::lock_guard<std::recursive_mutex> lock(chain->mu);
     if (chain->cancelled) return false;
     if (delay > 0) {
-      chain->timer =
-          wheel->schedule(delay, [chain, fn = std::forward<Fn>(fn)]() mutable {
+      // A BlockingCloud's op resumes on its waiting thread, not the wheel's.
+      std::shared_ptr<Waiter> waiter;
+      if (t_waiter != nullptr) waiter = t_waiter->shared_from_this();
+      chain->timer = wheel->schedule(
+          delay, [chain, waiter, fn = std::forward<Fn>(fn)]() mutable {
             {
-              std::lock_guard<std::mutex> lock(chain->mu);
+              std::lock_guard<std::recursive_mutex> lock(chain->mu);
               if (chain->cancelled) return;
               chain->timer = 0;
             }
-            fn();
+            if (waiter) {
+              waiter->post(std::move(fn));
+            } else {
+              fn();
+            }
           });
       return true;
     }
@@ -188,8 +222,8 @@ template <typename R>
 AsyncHandle SyncAdapter::run(std::function<R(CloudProvider&)> op,
                              std::function<void(R)> done) {
   auto state = std::make_shared<AsyncOpState>();
-  ctx_.io->submit([state, inner = inner_, active = active_, obs = ctx_.obs,
-                   op = std::move(op), done = std::move(done)] {
+  auto task = [state, inner = inner_, active = active_, obs = ctx_.obs,
+               op = std::move(op), done = std::move(done)] {
     if (!state->try_begin()) return;  // cancelled while queued
     const auto now_active = active->n.fetch_add(1) + 1;
     auto peak = active->peak.load();
@@ -205,7 +239,14 @@ AsyncHandle SyncAdapter::run(std::function<R(CloudProvider&)> op,
                    static_cast<double>(active->n.fetch_sub(1) - 1));
     done(std::move(result));
     state->finish();
-  });
+  };
+  if (t_waiter != nullptr) {
+    // A BlockingCloud's waiting thread would only sleep while a pool thread
+    // ran the verb: run it here instead.
+    task();
+  } else {
+    ctx_.io->submit(std::move(task));
+  }
   return AsyncHandle(state);
 }
 
@@ -242,98 +283,142 @@ AsyncHandle SyncAdapter::remove_async(const std::string& path, StatusCb done) {
 
 namespace {
 
-// Same counters/histograms as MeteredCloud, recorded from the completion.
-// The closures are self-contained (no back-pointer to the decorator), so
-// in-flight ops never dangle even if the decorator is destroyed first.
+enum Verb : std::size_t { kUpload, kDownload, kCreateDir, kList, kRemove };
+constexpr std::array<const char*, 5> kVerbNames = {"upload", "download",
+                                                   "create_dir", "list",
+                                                   "remove"};
+
+// One cloud's metering instruments (the names in cloud/metered_cloud.h).
+// Each is resolved once, on first use — a verb/area pair that never carries
+// traffic never shows up in snapshots — and an RPC afterwards only loads a
+// pointer and bumps atomics.
+class CloudMeters {
+ public:
+  CloudMeters(obs::ObsPtr obs, const std::string& cloud_name)
+      : obs_(std::move(obs)), prefix_("cloud." + cloud_name + ".") {}
+
+  [[nodiscard]] TimePoint now() const { return obs_->clock().now(); }
+
+  void account(Verb verb, std::size_t area, const Status& status,
+               TimePoint t0) const {
+    const bool ok = status.is_ok();
+    resolve(outcome_[verb][area][ok], [&] {
+      return &obs_->metrics.counter(prefix_ + kVerbNames[verb] + "." +
+                                    kRequestAreas[area] +
+                                    (ok ? ".ok" : ".err"));
+    })->add();
+    resolve(latency_[verb], [&] {
+      return &obs_->metrics.histogram(prefix_ + kVerbNames[verb] +
+                                      ".latency");
+    })->observe(now() - t0);
+  }
+
+  void bytes_up(std::size_t n) const {
+    resolve(bytes_up_, [&] {
+      return &obs_->metrics.counter(prefix_ + "bytes_up");
+    })->add(n);
+  }
+  void bytes_down(std::size_t n) const {
+    resolve(bytes_down_, [&] {
+      return &obs_->metrics.counter(prefix_ + "bytes_down");
+    })->add(n);
+  }
+
+ private:
+  // Racing first uses both look the name up; the registry hands them the
+  // same instrument.
+  template <typename T, typename Lookup>
+  static T* resolve(std::atomic<T*>& slot, Lookup lookup) {
+    T* instrument = slot.load(std::memory_order_acquire);
+    if (instrument == nullptr) {
+      instrument = lookup();
+      slot.store(instrument, std::memory_order_release);
+    }
+    return instrument;
+  }
+
+  obs::ObsPtr obs_;  // owns the instruments
+  std::string prefix_;
+  // [verb][area][ok]
+  mutable std::array<
+      std::array<std::array<std::atomic<obs::Counter*>, 2>,
+                 kRequestAreas.size()>,
+      kVerbNames.size()>
+      outcome_{};
+  mutable std::array<std::atomic<obs::Histogram*>, kVerbNames.size()>
+      latency_{};
+  mutable std::atomic<obs::Counter*> bytes_up_{nullptr};
+  mutable std::atomic<obs::Counter*> bytes_down_{nullptr};
+};
+
+// Meters every request that passes through it, recorded from the
+// completion. The closures hold the meters, not the decorator, so in-flight
+// ops never dangle even if the decorator is destroyed first.
 class AsyncMeteredCloud final : public AsyncCloud {
  public:
-  AsyncMeteredCloud(AsyncCloudPtr inner, obs::ObsPtr obs)
+  AsyncMeteredCloud(AsyncCloudPtr inner, const obs::ObsPtr& obs)
       : inner_(std::move(inner)),
-        obs_(std::move(obs)),
-        prefix_("cloud." + inner_->name() + ".") {}
+        meters_(std::make_shared<const CloudMeters>(obs, inner_->name())) {}
 
   [[nodiscard]] CloudId id() const noexcept override { return inner_->id(); }
   [[nodiscard]] std::string name() const override { return inner_->name(); }
 
   AsyncHandle upload_async(const std::string& path, ByteSpan data,
                            StatusCb done) override {
-    const TimePoint t0 = obs_->clock().now();
     return inner_->upload_async(
         path, data,
-        [obs = obs_, prefix = prefix_, path, t0, size = data.size(),
-         done = std::move(done)](Status s) {
-          account(obs, prefix, "upload", path, s, obs->clock().now() - t0);
-          if (s.is_ok()) {
-            obs->metrics.counter(prefix + "bytes_up").add(size);
-          }
+        [m = meters_, area = request_area_index(path), t0 = meters_->now(),
+         size = data.size(), done = std::move(done)](Status s) {
+          m->account(kUpload, area, s, t0);
+          if (s.is_ok()) m->bytes_up(size);
           done(std::move(s));
         });
   }
 
   AsyncHandle download_async(const std::string& path, BytesCb done) override {
-    const TimePoint t0 = obs_->clock().now();
     return inner_->download_async(
-        path, [obs = obs_, prefix = prefix_, path, t0,
-               done = std::move(done)](Result<Bytes> r) {
-          account(obs, prefix, "download", path, r.status(),
-                  obs->clock().now() - t0);
-          if (r.is_ok()) {
-            obs->metrics.counter(prefix + "bytes_down").add(r.value().size());
-          }
+        path, [m = meters_, area = request_area_index(path),
+               t0 = meters_->now(), done = std::move(done)](Result<Bytes> r) {
+          m->account(kDownload, area, r.status(), t0);
+          if (r.is_ok()) m->bytes_down(r.value().size());
           done(std::move(r));
         });
   }
 
   AsyncHandle create_dir_async(const std::string& path,
                                StatusCb done) override {
-    const TimePoint t0 = obs_->clock().now();
-    return inner_->create_dir_async(
-        path, [obs = obs_, prefix = prefix_, path, t0,
-               done = std::move(done)](Status s) {
-          account(obs, prefix, "create_dir", path, s, obs->clock().now() - t0);
-          done(std::move(s));
-        });
+    return inner_->create_dir_async(path,
+                                    metered(kCreateDir, path, std::move(done)));
   }
 
   AsyncHandle list_async(const std::string& dir, ListCb done) override {
-    const TimePoint t0 = obs_->clock().now();
     return inner_->list_async(
-        dir, [obs = obs_, prefix = prefix_, dir, t0,
+        dir, [m = meters_, area = request_area_index(dir), t0 = meters_->now(),
               done = std::move(done)](Result<std::vector<FileInfo>> r) {
-          account(obs, prefix, "list", dir, r.status(),
-                  obs->clock().now() - t0);
+          m->account(kList, area, r.status(), t0);
           done(std::move(r));
         });
   }
 
   AsyncHandle remove_async(const std::string& path, StatusCb done) override {
-    const TimePoint t0 = obs_->clock().now();
-    return inner_->remove_async(
-        path, [obs = obs_, prefix = prefix_, path, t0,
-               done = std::move(done)](Status s) {
-          account(obs, prefix, "remove", path, s, obs->clock().now() - t0);
-          done(std::move(s));
-        });
+    return inner_->remove_async(path, metered(kRemove, path, std::move(done)));
   }
 
  private:
-  static void account(const obs::ObsPtr& obs, const std::string& prefix,
-                      const char* verb, const std::string& path,
-                      const Status& status, Duration elapsed) {
-    obs->metrics
-        .counter(prefix + verb + "." + request_area(path) +
-                 (status.is_ok() ? ".ok" : ".err"))
-        .add();
-    obs->metrics.histogram(prefix + verb + ".latency").observe(elapsed);
+  StatusCb metered(Verb verb, const std::string& path, StatusCb done) const {
+    return [m = meters_, verb, area = request_area_index(path),
+            t0 = meters_->now(), done = std::move(done)](Status s) {
+      m->account(verb, area, s, t0);
+      done(std::move(s));
+    };
   }
 
   AsyncCloudPtr inner_;
-  obs::ObsPtr obs_;      // never null
-  std::string prefix_;   // "cloud.<name>."
+  std::shared_ptr<const CloudMeters> meters_;
 };
 
-// Shares quota accounting with the blocking QuotaCloud, so async uploads and
-// blocking metadata writes charge the same budget.
+// Shares quota accounting with the blocking QuotaCloud, so both surfaces
+// charge the same budget.
 class AsyncQuotaCloud final : public AsyncCloud {
  public:
   AsyncQuotaCloud(std::shared_ptr<QuotaCloud> quota, AsyncCloudPtr inner,
@@ -732,8 +817,11 @@ struct RetryOp {
 template <typename R>
 void retry_attempt(const std::shared_ptr<RetryOp<R>>& op);
 
-// Mirrors RetryingCloud::call / retry_call exactly: same deadline mapping,
-// same health recording, same counter semantics, same messages.
+// Settles one attempt: a success that outlived the policy's attempt
+// deadline counts as kTimeout (the caller already gave up on it; the paper's
+// clouds routinely stall for minutes), the outcome is recorded against the
+// cloud's health, and a transient failure re-arms the next attempt after a
+// decorrelated-jitter backoff unless the attempt or total budget is spent.
 template <typename R>
 void retry_on_result(const std::shared_ptr<RetryOp<R>>& op, R r) {
   Status status = status_of(r);
@@ -800,19 +888,22 @@ void retry_attempt(const std::shared_ptr<RetryOp<R>>& op) {
   });
 }
 
-// Retry/backoff/deadline/breaker for the async surface, built from (and
-// sharing health + policy with) the blocking RetryingCloud it mirrors.
+// Retry/backoff/deadline/breaker: the one resilience layer of the client's
+// cloud stack. When the breaker is open, calls fail at once with kOutage
+// ("circuit open") so callers reroute to the remaining k-of-N clouds instead
+// of burning a retry cycle against a dead provider.
 class AsyncRetryingCloud final : public AsyncCloud {
  public:
-  AsyncRetryingCloud(std::shared_ptr<RetryingCloud> blocking,
-                     AsyncCloudPtr inner, AsyncContext ctx)
-      : blocking_(std::move(blocking)),
-        inner_(std::move(inner)),
+  AsyncRetryingCloud(AsyncCloudPtr inner, RetryPolicy policy,
+                     std::shared_ptr<CloudHealthRegistry> health, Rng rng,
+                     AsyncContext ctx)
+      : inner_(std::move(inner)),
+        policy_(policy),
+        health_(std::move(health)),
         ctx_(std::move(ctx)),
-        rng_(0x41535952ULL ^  // "ASYR"
-             (0x9e3779b9ULL * (blocking_->id() + 1))) {
+        rng_(rng) {
     if (ctx_.obs) {
-      const std::string prefix = "retry." + blocking_->name() + ".";
+      const std::string prefix = "retry." + inner_->name() + ".";
       attempts_ = &ctx_.obs->metrics.counter(prefix + "attempts");
       retries_ = &ctx_.obs->metrics.counter(prefix + "retries");
       transient_failures_ =
@@ -821,12 +912,8 @@ class AsyncRetryingCloud final : public AsyncCloud {
     }
   }
 
-  [[nodiscard]] CloudId id() const noexcept override {
-    return blocking_->id();
-  }
-  [[nodiscard]] std::string name() const override {
-    return blocking_->name();
-  }
+  [[nodiscard]] CloudId id() const noexcept override { return inner_->id(); }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
 
   AsyncHandle upload_async(const std::string& path, ByteSpan data,
                            StatusCb done) override {
@@ -881,14 +968,14 @@ class AsyncRetryingCloud final : public AsyncCloud {
       std::lock_guard<std::mutex> lock(rng_mutex_);
       fork = rng_.fork();
     }
-    auto op = std::make_shared<RetryOp<R>>(blocking_->policy(), fork);
+    auto op = std::make_shared<RetryOp<R>>(policy_, fork);
     op->chain = make_chain(op->state, ctx_.wheel);
     op->inner = inner_;
     op->done = std::move(done);
-    op->health = blocking_->health();
+    op->health = health_;
     op->ctx = ctx_;
-    op->cloud_id = blocking_->id();
-    op->cloud_name = blocking_->name();
+    op->cloud_id = inner_->id();
+    op->cloud_name = inner_->name();
     op->wheel_backoff = is_real_sleep(ctx_.sleep);
     op->attempts = attempts_;
     op->retries = retries_;
@@ -900,14 +987,24 @@ class AsyncRetryingCloud final : public AsyncCloud {
 
   template <typename R>
   AsyncHandle start(const std::shared_ptr<RetryOp<R>>& op) {
-    // The first attempt is deferred so a breaker fast-fail never completes
-    // on the caller's stack.
-    ctx_.io->submit([op] { retry_attempt(op); });
+    if (t_waiter != nullptr) {
+      // A BlockingCloud waiter holds no locks and blocks anyway: the first
+      // attempt (even a breaker refusal's completion) runs right here,
+      // saving a pool hand-off per control-plane RPC.
+      retry_attempt(op);
+    } else {
+      // Deferred: a breaker refusal never completes on the caller's stack,
+      // and first attempts run on the pool in launch order, so a driver
+      // launching under its lock never draws fault or breaker decisions
+      // concurrently with completions (seeded runs replay identically).
+      ctx_.io->submit([op] { retry_attempt(op); });
+    }
     return AsyncHandle(op->state);
   }
 
-  std::shared_ptr<RetryingCloud> blocking_;
   AsyncCloudPtr inner_;
+  RetryPolicy policy_;
+  std::shared_ptr<CloudHealthRegistry> health_;  // may be null
   AsyncContext ctx_;
   std::mutex rng_mutex_;
   Rng rng_;
@@ -923,17 +1020,6 @@ class AsyncRetryingCloud final : public AsyncCloud {
 // --- to_async ---------------------------------------------------------------
 
 AsyncCloudPtr to_async(const CloudPtr& cloud, const AsyncContext& ctx) {
-  if (auto rc = std::dynamic_pointer_cast<RetryingCloud>(cloud)) {
-    return std::make_shared<AsyncRetryingCloud>(
-        rc, to_async(rc->inner(), ctx), ctx);
-  }
-  if (auto mc = std::dynamic_pointer_cast<MeteredCloud>(cloud)) {
-    // Without a registry in the context the async twin could not meter;
-    // keep the blocking meter in the loop via the adapter instead.
-    if (!ctx.obs) return std::make_shared<SyncAdapter>(cloud, ctx);
-    return std::make_shared<AsyncMeteredCloud>(to_async(mc->inner(), ctx),
-                                               ctx.obs);
-  }
   if (auto fc = std::dynamic_pointer_cast<FaultyCloud>(cloud)) {
     return std::make_shared<AsyncFaultyCloud>(fc, to_async(fc->inner(), ctx),
                                               ctx);
@@ -946,6 +1032,96 @@ AsyncCloudPtr to_async(const CloudPtr& cloud, const AsyncContext& ctx) {
     return std::make_shared<AsyncLatentCloud>(lc, to_async(lc->inner(), ctx));
   }
   return std::make_shared<SyncAdapter>(cloud, ctx);
+}
+
+AsyncMultiCloud guard_clouds(const MultiCloud& clouds,
+                             const RetryPolicy& policy,
+                             std::shared_ptr<CloudHealthRegistry> health,
+                             Rng& rng, const AsyncContext& ctx) {
+  AsyncMultiCloud guarded;
+  guarded.reserve(clouds.size());
+  for (const CloudPtr& c : clouds) {
+    AsyncCloudPtr inner = to_async(c, ctx);
+    if (ctx.obs) inner = std::make_shared<AsyncMeteredCloud>(inner, ctx.obs);
+    guarded.push_back(std::make_shared<AsyncRetryingCloud>(
+        std::move(inner), policy, health, rng.fork(), ctx));
+  }
+  return guarded;
+}
+
+// --- BlockingCloud ----------------------------------------------------------
+
+namespace {
+
+// Runs `fn` as the given waiter's thread: launches and continuations
+// inside it may run in place.
+template <typename Fn>
+void as_waiter(Waiter* waiter, Fn&& fn) {
+  Waiter* const outer = t_waiter;
+  t_waiter = waiter;
+  struct Restore {
+    Waiter* outer;
+    ~Restore() { t_waiter = outer; }
+  } restore{outer};
+  fn();
+}
+
+// Launches one async verb and parks the calling thread until its completion
+// delivered the result, running the op's handed-back continuations
+// meanwhile.
+template <typename R, typename Launch>
+R wait_for(Launch&& launch) {
+  struct Slot : Waiter {
+    std::optional<R> result;
+  };
+  auto slot = std::make_shared<Slot>();
+  as_waiter(slot.get(), [&] {
+    launch([slot](R r) {
+      std::lock_guard<std::mutex> lock(slot->mu);
+      slot->result.emplace(std::move(r));
+      slot->done = true;
+      slot->cv.notify_one();
+    });
+  });
+  std::unique_lock<std::mutex> lock(slot->mu);
+  while (true) {
+    slot->cv.wait(lock, [&] { return slot->done || !slot->ready.empty(); });
+    if (slot->done) break;
+    std::function<void()> next = std::move(slot->ready.front());
+    slot->ready.pop_front();
+    lock.unlock();
+    as_waiter(slot.get(), next);
+    next = nullptr;
+    lock.lock();
+  }
+  return *std::move(slot->result);
+}
+
+}  // namespace
+
+Status BlockingCloud::upload(const std::string& path, ByteSpan data) {
+  return wait_for<Status>(
+      [&](StatusCb cb) { inner_->upload_async(path, data, std::move(cb)); });
+}
+
+Result<Bytes> BlockingCloud::download(const std::string& path) {
+  return wait_for<Result<Bytes>>(
+      [&](BytesCb cb) { inner_->download_async(path, std::move(cb)); });
+}
+
+Status BlockingCloud::create_dir(const std::string& path) {
+  return wait_for<Status>(
+      [&](StatusCb cb) { inner_->create_dir_async(path, std::move(cb)); });
+}
+
+Result<std::vector<FileInfo>> BlockingCloud::list(const std::string& dir) {
+  return wait_for<Result<std::vector<FileInfo>>>(
+      [&](ListCb cb) { inner_->list_async(dir, std::move(cb)); });
+}
+
+Status BlockingCloud::remove(const std::string& path) {
+  return wait_for<Status>(
+      [&](StatusCb cb) { inner_->remove_async(path, std::move(cb)); });
 }
 
 }  // namespace unidrive::cloud

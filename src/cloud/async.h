@@ -14,6 +14,11 @@
 //   1. Completions are NEVER invoked on the caller's stack — they run on
 //      the I/O pool or the timer wheel. Callers may therefore launch while
 //      holding their own locks (the streaming drivers launch under lock_).
+//      The one exception is BlockingCloud, whose caller holds no locks and
+//      waits anyway: its op runs on that thread (the retry layer's first
+//      attempt, a SyncAdapter leaf's verb, the step after a wheel delay)
+//      and only parks while something has to wait — a latency delay, a
+//      backoff, an injected hang.
 //   2. After AsyncHandle::cancel() returns, the completion will never be
 //      invoked (it either already ran, or never will). cancel() blocks
 //      while the completion (or the blocking RPC feeding it, for
@@ -26,24 +31,34 @@
 //
 // SyncAdapter is the compatibility layer: it wraps any blocking
 // CloudProvider by running the verb on a dedicated I/O pool — correct for
-// every provider, thread-bound per RPC. The native decorators mirror the
-// blocking stack without that bound:
+// every provider, thread-bound per RPC. BlockingCloud is its inverse: a
+// CloudProvider whose verbs launch the *_async verb and wait on the
+// completion, so blocking callers reach the very same async objects.
 //
-//   AsyncRetryingCloud  retry/backoff/deadline/breaker semantics of
-//                       RetryingCloud, with backoff re-armed on the timer
-//                       wheel instead of a sleeping thread (injected
-//                       virtual-time sleeps are still honoured).
-//   AsyncMeteredCloud   same counter/histogram names as MeteredCloud.
-//   AsyncFaultyCloud /  share the decision RNG, counters and quota
-//   AsyncQuotaCloud     accounting with their blocking halves.
-//   AsyncLatentCloud    schedules its simulated latency/bandwidth delays
-//                       on the wheel — a 1-thread pool can have hundreds
-//                       of delayed requests outstanding.
+// The client's one cloud stack, built by guard_clouds() per enrolled cloud:
 //
-// to_async() builds the async twin of a decorated blocking chain by
-// walking it (Retrying → Metered → Faulty/Quota/Latent → SyncAdapter leaf),
-// so the async data plane and the blocking metadata/lock plane share one
-// set of breakers, meters, fault injectors and quotas.
+//   AsyncRetryingCloud  retry/backoff/deadline/breaker: transient failures
+//                       retried per RetryPolicy, every attempt gated by and
+//                       recorded in the CloudHealthRegistry, backoff
+//                       re-armed on the timer wheel instead of a sleeping
+//                       thread (injected virtual-time sleeps are still
+//                       honoured).
+//   AsyncMeteredCloud   per-attempt request metering (cloud/metered_cloud.h
+//                       names the counters), instruments resolved once.
+//   to_async(raw)       the provider's own decorators as native async
+//                       twins: AsyncFaultyCloud / AsyncQuotaCloud share the
+//                       decision RNG, counters and quota accounting with
+//                       their blocking halves; AsyncLatentCloud schedules
+//                       its latency/bandwidth delays on the wheel, so a
+//                       1-thread pool can have hundreds of delayed requests
+//                       outstanding. The first provider it does not
+//                       recognise becomes a SyncAdapter leaf.
+//
+// The data plane launches on the async stack directly; the blocking control
+// plane (metadata store, lock manager, GC removes) goes through a
+// BlockingCloud over the same object, so both planes share one set of
+// breakers, meters, fault injectors and quotas, and there is exactly one
+// retry implementation.
 #pragma once
 
 #include <condition_variable>
@@ -200,11 +215,48 @@ class SyncAdapter final : public AsyncCloud {
 };
 
 // Async twin of a (possibly decorated) blocking provider. Recognizes the
-// repo's decorator chain — RetryingCloud, MeteredCloud, FaultyCloud,
-// QuotaCloud, LatentCloud — and rebuilds it from native async decorators
-// that share state (breakers, counters, RNG streams, quotas, link
-// occupancy) with the blocking chain; any unrecognized provider becomes a
-// SyncAdapter leaf.
+// fault, quota and latency decorators — FaultyCloud, QuotaCloud,
+// LatentCloud — and rebuilds them from native async decorators that share
+// state (RNG streams, counters, quotas, link occupancy) with the blocking
+// objects; any unrecognized provider becomes a SyncAdapter leaf.
 AsyncCloudPtr to_async(const CloudPtr& cloud, const AsyncContext& ctx);
+
+// The client's cloud stack: each cloud becomes
+// AsyncRetryingCloud(AsyncMeteredCloud(to_async(raw))). All clouds share
+// `policy` and `health` (null = no breaker); each draws its backoff jitter
+// from its own fork of `rng`. Metering is skipped when ctx.obs is null.
+AsyncMultiCloud guard_clouds(const MultiCloud& clouds,
+                             const RetryPolicy& policy,
+                             std::shared_ptr<CloudHealthRegistry> health,
+                             Rng& rng, const AsyncContext& ctx);
+
+// Blocking facade over an async cloud: each verb launches the matching
+// *_async verb and waits on its completion. The op's steps run on the
+// calling thread (invariant 1's exception): delays park on the wheel and
+// hand the next step back to the waiting caller, so a call costs no pool
+// hand-off unless a step itself defers to the pool (an injected hang, a
+// virtual-time backoff, a fault or quota refusal). Thread-safe when the
+// async cloud is.
+//
+// The one rule: never call it from a worker of the executor the async
+// cloud completes on (AsyncContext::io). The wait pins that worker, so
+// with every worker waiting nothing is left to run the completion — on a
+// 1-thread pool the first such call deadlocks.
+class BlockingCloud final : public CloudProvider {
+ public:
+  explicit BlockingCloud(AsyncCloudPtr inner) : inner_(std::move(inner)) {}
+
+  [[nodiscard]] CloudId id() const noexcept override { return inner_->id(); }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+  Status upload(const std::string& path, ByteSpan data) override;
+  Result<Bytes> download(const std::string& path) override;
+  Status create_dir(const std::string& path) override;
+  Result<std::vector<FileInfo>> list(const std::string& dir) override;
+  Status remove(const std::string& path) override;
+
+ private:
+  AsyncCloudPtr inner_;
+};
 
 }  // namespace unidrive::cloud

@@ -1,58 +1,42 @@
-// MeteredCloud — per-verb, per-cloud request metering.
+// Request areas — how per-cloud request metering classifies paths.
 //
-// Wraps any CloudProvider and records, into a shared Observability:
+// The client meters every request attempt on its one cloud stack
+// (AsyncMeteredCloud, composed by guard_clouds() in cloud/async.h UNDER the
+// retry layer, so retries show up as extra requests — exactly the per-cloud
+// traffic a provider would bill for and the quantity the paper's Fig. 4
+// success rates are measured against). It records, into the client's
+// Observability:
 //
 //   cloud.<name>.<verb>.<area>.ok|err   request outcome counters, where
 //                                       verb ∈ {upload, download, list,
-//                                       create_dir, remove} and area
-//                                       classifies the path (/data blocks,
-//                                       /meta metadata, /lock lock files,
-//                                       other);
+//                                       create_dir, remove} and area is
+//                                       request_area(path);
 //   cloud.<name>.bytes_up|bytes_down    payload bytes actually moved;
 //   cloud.<name>.<verb>.latency         per-request latency histogram.
-//
-// Composed UNDER RetryingCloud (Retrying(Metered(raw))), so every
-// individual attempt is metered — retries show up as extra requests, which
-// is exactly the per-cloud traffic a provider would bill for and the
-// quantity the paper's Fig. 4 success rates are measured against.
-//
-// Thread-safe when the inner provider is (counters are atomics; the
-// instrument lookup takes the registry mutex).
 #pragma once
 
-#include "cloud/provider.h"
-#include "obs/obs.h"
+#include <array>
+#include <cstddef>
+#include <string>
 
 namespace unidrive::cloud {
 
-// Buckets request paths by what they carry, mirroring the layout the client
-// uses on every cloud (metadata/types.h): erasure-coded blocks under /data,
-// base/delta/version files under /meta, lock files under /lock. Shared by
-// the blocking and async metering surfaces so counter names stay identical.
-[[nodiscard]] const char* request_area(const std::string& path);
+// The areas, in request_area_index() order. They mirror the layout the
+// client uses on every cloud (metadata/types.h): erasure-coded blocks under
+// /data, shard/manifest/root objects under /meta, lock files under /lock.
+inline constexpr std::array<const char*, 4> kRequestAreas = {
+    "data", "meta", "lock", "other"};
 
-class MeteredCloud final : public CloudProvider {
- public:
-  MeteredCloud(CloudPtr inner, obs::ObsPtr obs);
+[[nodiscard]] inline std::size_t request_area_index(const std::string& path) {
+  if (path.rfind("/data", 0) == 0) return 0;
+  if (path.rfind("/meta", 0) == 0) return 1;
+  if (path.rfind("/lock", 0) == 0) return 2;
+  return 3;
+}
 
-  [[nodiscard]] CloudId id() const noexcept override { return inner_->id(); }
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-
-  Status upload(const std::string& path, ByteSpan data) override;
-  Result<Bytes> download(const std::string& path) override;
-  Status create_dir(const std::string& path) override;
-  Result<std::vector<FileInfo>> list(const std::string& dir) override;
-  Status remove(const std::string& path) override;
-
-  [[nodiscard]] const CloudPtr& inner() const noexcept { return inner_; }
-
- private:
-  void account(const char* verb, const std::string& path, const Status& status,
-               Duration elapsed);
-
-  CloudPtr inner_;
-  obs::ObsPtr obs_;  // never null
-  std::string prefix_;  // "cloud.<name>."
-};
+// Buckets a request path by what it carries.
+[[nodiscard]] inline const char* request_area(const std::string& path) {
+  return kRequestAreas[request_area_index(path)];
+}
 
 }  // namespace unidrive::cloud

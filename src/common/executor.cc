@@ -38,10 +38,12 @@ std::size_t Executor::default_threads(std::size_t floor) {
 }
 
 void Executor::submit(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(fn));
-  }
+  // Notified under the lock: once a task's completion lets the owner
+  // destroy the pool, a submitter still inside submit() (e.g. the timer
+  // wheel arming that task's last step) must not touch cv_ afterwards; the
+  // destructor takes the lock first.
+  std::lock_guard<std::mutex> lock(mutex_);
+  queue_.push_back(std::move(fn));
   cv_.notify_one();
 }
 

@@ -28,8 +28,11 @@ TimerWheel::TimerId TimerWheel::schedule(Duration delay,
   const TimerId id = next_id_++;
   const double deadline = steady_now() + (delay > 0 ? delay : 0);
   entries_.emplace(id, Entry{deadline, std::move(fn)});
+  // The wheel thread sleeps until the earliest deadline it knows; only a
+  // new earliest one has to wake it early.
+  const bool earliest = heap_.empty() || deadline < heap_.top().first;
   heap_.emplace(deadline, id);
-  cv_.notify_one();
+  if (earliest) cv_.notify_one();
   return id;
 }
 

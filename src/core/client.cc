@@ -47,6 +47,15 @@ std::shared_ptr<Executor> make_executor(const ClientConfig& config,
   return std::make_shared<Executor>(threads);
 }
 
+cloud::MultiCloud blocking_facades(const cloud::AsyncMultiCloud& stacks) {
+  cloud::MultiCloud facades;
+  facades.reserve(stacks.size());
+  for (const cloud::AsyncCloudPtr& c : stacks) {
+    facades.push_back(std::make_shared<cloud::BlockingCloud>(c));
+  }
+  return facades;
+}
+
 }  // namespace
 
 UniDriveClient::UniDriveClient(cloud::MultiCloud clouds,
@@ -61,16 +70,16 @@ UniDriveClient::UniDriveClient(cloud::MultiCloud clouds,
       durability_(std::make_shared<repair::DurabilityTracker>(obs_)),
       health_(std::make_shared<cloud::CloudHealthRegistry>(config_.breaker,
                                                            clock_, obs_)),
-      guarded_(cloud::guard_clouds(clouds_, config_.retry, health_, clock_,
-                                   config_.sleep, rng_, obs_)),
       executor_(make_executor(config_, clouds_.size())),
-      store_(guarded_, config_.passphrase, config_.meta, obs_,
+      async_clouds_(cloud::guard_clouds(clouds_, config_.retry, health_, rng_,
+                                        async_context())),
+      control_clouds_(blocking_facades(async_clouds_)),
+      store_(control_clouds_, config_.passphrase, config_.meta, obs_,
              config_.cipher),
-      locks_(guarded_, config_.device, config_.lock, clock_, rng_.fork(),
-             config_.sleep, obs_),
+      locks_(control_clouds_, config_.device, config_.lock, clock_,
+             rng_.fork(), config_.sleep, obs_),
       monitor_() {
   export_kernel_gauges(obs_.get());
-  rebuild_async_clouds();
   load_state();
   if (config_.pool != nullptr) {
     // The pool's refcounts are keyed by folder id; an empty (unset) id gets
@@ -92,28 +101,24 @@ UniDriveClient::UniDriveClient(cloud::MultiCloud clouds,
   }
 }
 
-void UniDriveClient::rebuild_guards() {
-  guarded_ = cloud::guard_clouds(clouds_, config_.retry, health_, clock_,
-                                 config_.sleep, rng_, obs_);
-  executor_ = make_executor(config_, clouds_.size());
-  store_ = metadata::ShardedMetaStore(guarded_, config_.passphrase,
-                                      config_.meta, obs_, config_.cipher);
-  locks_ = lock::LockManager(guarded_, config_.device, config_.lock, clock_,
-                             rng_.fork(), config_.sleep, obs_);
-  rebuild_async_clouds();
-}
-
-void UniDriveClient::rebuild_async_clouds() {
-  async_clouds_.clear();
+cloud::AsyncContext UniDriveClient::async_context() const {
   cloud::AsyncContext ctx;
   ctx.io = executor_.get();
   ctx.clock = &clock_;
   ctx.sleep = config_.sleep;
   ctx.obs = obs_;
-  async_clouds_.reserve(guarded_.size());
-  for (const cloud::CloudPtr& c : guarded_) {
-    async_clouds_.push_back(cloud::to_async(c, ctx));
-  }
+  return ctx;
+}
+
+void UniDriveClient::rebuild_guards() {
+  executor_ = make_executor(config_, clouds_.size());
+  async_clouds_ = cloud::guard_clouds(clouds_, config_.retry, health_, rng_,
+                                      async_context());
+  control_clouds_ = blocking_facades(async_clouds_);
+  store_ = metadata::ShardedMetaStore(control_clouds_, config_.passphrase,
+                                      config_.meta, obs_, config_.cipher);
+  locks_ = lock::LockManager(control_clouds_, config_.device, config_.lock,
+                             clock_, rng_.fork(), config_.sleep, obs_);
 }
 
 void UniDriveClient::load_state() {
@@ -169,7 +174,7 @@ std::vector<cloud::CloudId> UniDriveClient::cloud_ids() const {
 }
 
 cloud::CloudProvider* UniDriveClient::find_cloud(cloud::CloudId id) const {
-  for (const cloud::CloudPtr& c : guarded_) {
+  for (const cloud::CloudPtr& c : control_clouds_) {
     if (c->id() == id) return c.get();
   }
   return nullptr;
@@ -1163,10 +1168,12 @@ Status UniDriveClient::add_cloud(cloud::CloudPtr new_cloud) {
 
   const sched::RebalancePlan plan =
       sched::plan_add_cloud(next, new_cloud->id(), all_ids, params);
-  // The joining cloud gets the same resilience guard as enrolled ones for
-  // the rebalance uploads.
-  cloud::RetryingCloud added_guard(new_cloud, config_.retry, health_, clock_,
-                                   config_.sleep, rng_.fork(), obs_);
+  // The joining cloud gets the same stack as enrolled ones for the
+  // rebalance uploads.
+  cloud::BlockingCloud added_guard(
+      cloud::guard_clouds({new_cloud}, config_.retry, health_, rng_,
+                          async_context())
+          .front());
   execute_rebalance(next, plan, codec_for(params), &added_guard);
   sched::apply_rebalance(next, plan);
 

@@ -23,7 +23,6 @@
 #include "cloud/async.h"
 #include "cloud/health.h"
 #include "cloud/provider.h"
-#include "cloud/retrying_cloud.h"
 #include "common/clock.h"
 #include "common/executor.h"
 #include "common/retry.h"
@@ -64,9 +63,10 @@ struct ClientConfig {
   metadata::DeltaPolicy delta_policy;
   // Sharded metadata plane: shard count, per-shard compaction bound, cache.
   metadata::ShardConfig meta;
-  // Unified resilience layer: every enrolled cloud is wrapped exactly once
-  // in a cloud::RetryingCloud combining this retry policy with a circuit
-  // breaker shared across sync rounds — no other layer retries.
+  // Unified resilience layer: every enrolled cloud gets exactly one retry
+  // layer (cloud::guard_clouds) combining this retry policy with a circuit
+  // breaker shared across sync rounds. Data and control plane both go
+  // through it; no other layer retries.
   RetryPolicy retry;
   cloud::BreakerConfig breaker;
   // All blocking pauses (retry backoff, lock contention backoff) go through
@@ -213,7 +213,7 @@ class UniDriveClient {
   // The exact code this client encodes/decodes with (pinned codec length —
   // block indices remain stable across membership changes).
   [[nodiscard]] erasure::RsCode codec() const;
-  // Guarded (resilience-decorated) blocking provider / its async twin.
+  // One enrolled cloud's stack: its blocking facade / the async object.
   [[nodiscard]] cloud::CloudProvider* guarded_cloud(cloud::CloudId id) const {
     return find_cloud(id);
   }
@@ -337,17 +337,18 @@ class UniDriveClient {
   Status commit_membership_image(metadata::SyncFolderImage next);
 
   [[nodiscard]] std::vector<cloud::CloudId> cloud_ids() const;
-  // Resolves to the GUARDED provider — all I/O goes through the resilience
-  // decorator, never the raw cloud.
+  // Resolves to the BlockingCloud facade over the cloud's stack — all I/O
+  // goes through the resilience layer, never the raw cloud.
   [[nodiscard]] cloud::CloudProvider* find_cloud(cloud::CloudId id) const;
-  // Resolves to the guarded provider's completion-based twin (the same
-  // decorator chain, async all the way down to the SyncAdapter leaf).
+  // Resolves to the cloud's stack itself (async all the way down to the
+  // SyncAdapter leaf).
   [[nodiscard]] cloud::AsyncCloud* find_async_cloud(cloud::CloudId id) const;
 
-  // Re-wraps clouds_ and rebuilds store_/lock_ after membership changes.
+  // The async runtime every cloud stack of this client completes on.
+  [[nodiscard]] cloud::AsyncContext async_context() const;
+  // Rebuilds the executor, the cloud stacks and store_/locks_ over clouds_
+  // after membership changes.
   void rebuild_guards();
-  // Builds the async twins of guarded_ over executor_.
-  void rebuild_async_clouds();
 
   // State persistence (no-ops when config_.state_file is empty).
   void load_state();
@@ -358,20 +359,24 @@ class UniDriveClient {
   ClientConfig config_;
   Clock& clock_;
   Rng rng_;
-  // Declared before health_/guarded_/store_/lock_: they all capture it.
+  // Declared before health_/async_clouds_/store_/locks_: they all capture
+  // it.
   obs::ObsPtr obs_;
   // Defect ledger shared with the repair subsystem; captures obs_.
   std::shared_ptr<repair::DurabilityTracker> durability_;
   std::shared_ptr<cloud::CloudHealthRegistry> health_;
-  cloud::MultiCloud guarded_;  // clouds_, each wrapped in a RetryingCloud
-  // Shared thread pool for the pipelines' encode/decode stages and the
-  // async twins' SyncAdapter RPCs; sized for clouds * connections unless config_.pipeline.threads (or
+  // Shared thread pool for the pipelines' encode/decode stages and every
+  // cloud stack's retry attempts and SyncAdapter RPCs; sized for clouds *
+  // connections unless config_.pipeline.threads (or
   // UNIDRIVE_PIPELINE_THREADS) overrides. Rebuilt on membership changes.
   std::shared_ptr<Executor> executor_;
-  // The completion-based twin of each guarded cloud; SyncAdapter leaf
-  // RPCs run on executor_. The twins share breaker/counter/quota/link
-  // state with their blocking halves.
+  // The one cloud stack per enrolled cloud (cloud::guard_clouds over
+  // clouds_), completing on executor_. The data plane launches on it.
   cloud::AsyncMultiCloud async_clouds_;
+  // BlockingCloud facades over async_clouds_: the control plane (store_,
+  // locks_, GC/cleanup removes, repair's orphan GC) reaches the same
+  // objects through them. Only ever called from threads outside executor_.
+  cloud::MultiCloud control_clouds_;
 
   metadata::SyncFolderImage image_;  // v_o: last known committed state
   metadata::ShardedMetaStore store_;

@@ -27,8 +27,9 @@
 // for callers that genuinely need all shards.
 //
 // Write-to-majority / read-from-all is inherited from KvStore for every
-// object and the root pointer, so the recovery guarantees of the monolithic
-// MetaStore carry over shard by shard.
+// object and the root pointer: the newest committed state is found whenever
+// a majority of clouds is reachable. A store with num_shards = 1 is the
+// degenerate unsharded layout (one base + delta chain for the whole folder).
 #pragma once
 
 #include <map>
@@ -37,9 +38,13 @@
 #include "metadata/codec.h"
 #include "metadata/kv.h"
 #include "metadata/shard.h"
-#include "metadata/store.h"
 
 namespace unidrive::metadata {
+
+struct FetchedMetadata {
+  SyncFolderImage image;   // every shard absorbed, refcounts rebuilt
+  VersionStamp version;    // == image.version()
+};
 
 struct ShardConfig {
   std::uint32_t num_shards = 16;

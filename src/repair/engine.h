@@ -14,7 +14,7 @@
 //   3. re-uploads in place (missing/corrupt on a reachable cloud) or onto
 //      a healthy cloud (kCloudLost re-homing, respecting the ks security
 //      cap max_per_cloud),
-//   4. commits placement changes through the quorum-locked MetaStore —
+//   4. commits placement changes through the quorum-locked metadata store —
 //      blocks land BEFORE the commit, the same crash-safety order as the
 //      sync write path; a crash mid-repair leaves orphans, never dangling
 //      references.

@@ -49,7 +49,11 @@ ScrubReport Scrubber::run_pass() {
         ++report.clouds_skipped;
         continue;
       }
-      listings.emplace(id, Listing{});
+      {
+        // Completions of earlier clouds' listings already write the map.
+        std::lock_guard<std::mutex> lock(mu);
+        listings.emplace(id, Listing{});
+      }
       latch.expect();
       cloud->list_async(
           metadata::kDataDir,

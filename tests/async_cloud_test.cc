@@ -11,9 +11,10 @@
 //   - AsyncLatentCloud: a 1-thread I/O pool holds many delayed requests
 //     outstanding simultaneously — the multiplexing the async layer exists
 //     for.
-//   - AsyncRetryingCloud: success after transient failures, and the cancel
-//     guarantee mid-retry (a cancelled handle never invokes its completion
-//     after cancel() returns, even with a backoff timer armed).
+//   - AsyncRetryingCloud (built by guard_clouds): success after transient
+//     failures, and the cancel guarantee mid-retry (a cancelled handle never
+//     invokes its completion after cancel() returns, even with a backoff
+//     timer armed).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,7 +31,6 @@
 #include "cloud/health.h"
 #include "cloud/latent_cloud.h"
 #include "cloud/memory_cloud.h"
-#include "cloud/retrying_cloud.h"
 #include "common/executor.h"
 #include "common/retry.h"
 #include "common/rng.h"
@@ -265,6 +265,13 @@ struct AsyncRig {
   TimerWheel wheel;
   std::shared_ptr<Executor> io;
   AsyncContext ctx;
+  Rng rng{7};
+
+  // The client's cloud stack over `raw` (no metering: ctx.obs is null).
+  AsyncCloudPtr guard(const CloudPtr& raw, const RetryPolicy& policy,
+                      std::shared_ptr<CloudHealthRegistry> health = nullptr) {
+    return guard_clouds({raw}, policy, std::move(health), rng, ctx).front();
+  }
 };
 
 TEST(SyncAdapterTest, UploadDownloadRoundTrip) {
@@ -460,8 +467,7 @@ TEST(AsyncRetryingCloudTest, SucceedsAfterTransientFailures) {
   policy.max_attempts = 4;
   policy.backoff_base = 0.005;
   policy.backoff_cap = 0.02;
-  auto blocking = std::make_shared<RetryingCloud>(flaky, policy);
-  AsyncCloudPtr cloud = to_async(blocking, rig.ctx);
+  AsyncCloudPtr cloud = rig.guard(flaky, policy);
 
   StatusLatch latch;
   auto data = std::make_shared<const Bytes>(payload("third time lucky"));
@@ -479,8 +485,7 @@ TEST(AsyncRetryingCloudTest, ExhaustedRetriesSurfaceTheTransientError) {
   policy.max_attempts = 3;
   policy.backoff_base = 0.002;
   policy.backoff_cap = 0.01;
-  auto blocking = std::make_shared<RetryingCloud>(flaky, policy);
-  AsyncCloudPtr cloud = to_async(blocking, rig.ctx);
+  AsyncCloudPtr cloud = rig.guard(flaky, policy);
 
   StatusLatch latch;
   auto data = std::make_shared<const Bytes>(payload("doomed"));
@@ -501,8 +506,7 @@ TEST(AsyncRetryingCloudTest, CancelMidRetryNeverInvokesCompletion) {
   policy.max_attempts = 10;
   policy.backoff_base = 5.0;  // park the retry far in the future
   policy.backoff_cap = 10.0;
-  auto blocking = std::make_shared<RetryingCloud>(flaky, policy);
-  AsyncCloudPtr cloud = to_async(blocking, rig.ctx);
+  AsyncCloudPtr cloud = rig.guard(flaky, policy);
 
   std::atomic<bool> completed{false};
   auto data = std::make_shared<const Bytes>(payload("cancel me"));
@@ -524,8 +528,7 @@ TEST(AsyncRetryingCloudTest, CancelMidRetryNeverInvokesCompletion) {
 TEST(AsyncRetryingCloudTest, CancelBeforeFirstAttemptAverts) {
   AsyncRig rig(/*threads=*/1);
   auto mem = std::make_shared<MemoryCloud>(4, "m");
-  auto blocking = std::make_shared<RetryingCloud>(mem, RetryPolicy{});
-  AsyncCloudPtr cloud = to_async(blocking, rig.ctx);
+  AsyncCloudPtr cloud = rig.guard(mem, RetryPolicy{});
 
   // Wedge the only I/O thread so the deferred first attempt stays queued.
   std::mutex mu;
@@ -555,7 +558,7 @@ TEST(AsyncRetryingCloudTest, CancelBeforeFirstAttemptAverts) {
 }
 
 // Breaker integration: an open circuit fails async calls fast with kOutage,
-// off the caller's stack, exactly like the blocking surface.
+// off the caller's stack.
 TEST(AsyncRetryingCloudTest, OpenBreakerFailsFastWithOutage) {
   AsyncRig rig;
   auto mem = std::make_shared<MemoryCloud>(5, "down");
@@ -567,9 +570,7 @@ TEST(AsyncRetryingCloudTest, OpenBreakerFailsFastWithOutage) {
   health->record(5, make_error(ErrorCode::kUnavailable, "boom"), 0.0);
   ASSERT_FALSE(health->allow_request(5));
 
-  auto blocking = std::make_shared<RetryingCloud>(
-      mem, RetryPolicy{}, health);
-  AsyncCloudPtr cloud = to_async(blocking, rig.ctx);
+  AsyncCloudPtr cloud = rig.guard(mem, RetryPolicy{}, health);
 
   StatusLatch latch;
   auto data = std::make_shared<const Bytes>(payload("refused"));
@@ -595,8 +596,7 @@ TEST(AsyncCloudTest, EightCloudsTwoThreadsHighFanOut) {
     LinkProfile profile;
     profile.request_latency_sec = 0.02;
     auto latent = std::make_shared<LatentCloud>(mem, profile, rig.wheel);
-    auto blocking = std::make_shared<RetryingCloud>(latent, RetryPolicy{});
-    clouds.push_back(to_async(blocking, rig.ctx));
+    clouds.push_back(rig.guard(latent, RetryPolicy{}));
   }
 
   std::atomic<int> ok{0};

@@ -646,6 +646,66 @@ TEST(ShardedMetaStoreTest, HasCloudUpdateComparesRootVersion) {
   EXPECT_FALSE(store.has_cloud_update(stamp("devA", 1)));
 }
 
+TEST(ShardedMetaStoreTest, NoMetadataIsNotFound) {
+  auto clouds = make_clouds(5);
+  ShardedMetaStore store(clouds, "pass", small_shards());
+  EXPECT_EQ(store.fetch_remote_version().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(store.fetch_manifest().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(store.fetch_latest().code(), ErrorCode::kNotFound);
+}
+
+// Clouds [0, down) in permanent outage; the rest healthy.
+cloud::MultiCloud with_outages(int n, int down) {
+  cloud::MultiCloud wrapped;
+  for (const cloud::CloudPtr& c : make_clouds(n)) {
+    auto faulty =
+        std::make_shared<cloud::FaultyCloud>(c, cloud::FaultProfile{}, 1);
+    faulty->set_outage(static_cast<int>(wrapped.size()) < down);
+    wrapped.push_back(faulty);
+  }
+  return wrapped;
+}
+
+TEST(ShardedMetaStoreTest, SurvivesMinorityOutage) {
+  ShardedMetaStore store(with_outages(5, 2), "pass", small_shards());
+  std::vector<Change> cs{Change::upsert_file(snapshot("/a", "devA"))};
+  ASSERT_TRUE(
+      commit_changes(store, cs, image_of(cs), stamp("devA", 1)).is_ok());
+  auto fetched = store.fetch_latest();
+  ASSERT_TRUE(fetched.is_ok());
+  EXPECT_NE(fetched.value().image.find_file("/a"), nullptr);
+}
+
+TEST(ShardedMetaStoreTest, FailsWithMajorityDown) {
+  ShardedMetaStore store(with_outages(5, 3), "pass", small_shards());
+  std::vector<Change> cs{Change::upsert_file(snapshot("/a", "devA"))};
+  EXPECT_FALSE(
+      commit_changes(store, cs, image_of(cs), stamp("devA", 1)).is_ok());
+}
+
+TEST(ShardedMetaStoreTest, ReadsNewestAmongClouds) {
+  auto clouds = make_clouds(3);
+  ShardedMetaStore store(clouds, "pass", small_shards());
+  std::vector<Change> v1{Change::upsert_file(snapshot("/a", "devA"))};
+  ASSERT_TRUE(
+      commit_changes(store, v1, image_of(v1), stamp("devA", 1)).is_ok());
+  ASSERT_TRUE(store.fetch_latest().is_ok());
+
+  // A second store commits v2, but only cloud 0 accepts (the others are
+  // out of its reach).
+  ShardedMetaStore store0({clouds[0]}, "pass", small_shards());
+  std::vector<Change> v2{Change::upsert_file(snapshot("/newer", "devA"))};
+  SyncFolderImage full = image_of(v1);
+  apply_change(full, v2.front());
+  ASSERT_TRUE(commit_changes(store0, v2, full, stamp("devA", 2)).is_ok());
+
+  // The full store must find v2 via cloud 0's root.
+  auto fetched = store.fetch_latest();
+  ASSERT_TRUE(fetched.is_ok());
+  EXPECT_EQ(fetched.value().version.counter, 2u);
+  EXPECT_NE(fetched.value().image.find_file("/newer"), nullptr);
+}
+
 }  // namespace
 }  // namespace unidrive::metadata
 

@@ -1,74 +1,155 @@
-// Unit tests for the unified resilience layer: RetryPolicy/retry_call
-// (common/retry.h), the CloudHealthRegistry circuit breaker (cloud/health.h)
-// and the RetryingCloud / DeadlineCloud decorators (cloud/retrying_cloud.h),
-// plus the torn-upload and hang fault injectors in FaultyCloud.
+// Unit tests for the unified resilience layer: the retry policy
+// (common/retry.h) as the client's cloud stack executes it
+// (cloud::guard_clouds seen through the cloud::BlockingCloud facade,
+// cloud/async.h), the CloudHealthRegistry circuit breaker (cloud/health.h),
+// the one stack shared by the data and control planes, and the torn-upload
+// and hang fault injectors in FaultyCloud.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "cloud/async.h"
 #include "cloud/faulty_cloud.h"
 #include "cloud/health.h"
 #include "cloud/memory_cloud.h"
-#include "cloud/retrying_cloud.h"
 #include "common/clock.h"
+#include "common/executor.h"
 #include "common/retry.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "core/client.h"
+#include "core/local_fs.h"
+#include "metadata/sharded_store.h"
 
 namespace unidrive {
 namespace {
 
 Bytes text(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
-// Deterministic retry environment: sleeping advances a manual clock and is
-// recorded, so tests assert on the exact backoff schedule.
+// Deterministic retry environment: the retry layer's injected sleep
+// advances a manual clock and is recorded, so tests assert on the exact
+// backoff schedule. Calls run on the client's cloud stack — guard_clouds()
+// over the provider, called through the BlockingCloud facade.
 struct TestEnv {
   ManualClock clock;
+  // Appended on the executor; read only after the blocking call returned.
   std::vector<Duration> sleeps;
+  Executor io{2};
+  Rng rng{42};
 
-  RetryEnv env() {
-    RetryEnv e;
-    e.clock = &clock;
-    e.sleep = [this](Duration d) {
+  cloud::AsyncContext ctx(obs::ObsPtr obs = nullptr) {
+    cloud::AsyncContext c;
+    c.io = &io;
+    c.clock = &clock;
+    c.sleep = [this](Duration d) {
       sleeps.push_back(d);
       clock.advance(d);
     };
-    e.rng = Rng(42);
-    return e;
+    c.obs = std::move(obs);
+    return c;
+  }
+
+  cloud::BlockingCloud guard(
+      const cloud::CloudPtr& raw, const RetryPolicy& policy,
+      std::shared_ptr<cloud::CloudHealthRegistry> health = nullptr) {
+    return cloud::BlockingCloud(
+        cloud::guard_clouds({raw}, policy, std::move(health), rng, ctx())
+            .front());
   }
 };
 
-// --- retry_call ---------------------------------------------------------------
+// Answers each request with `script(path)` when that is an error, otherwise
+// serves it from an in-memory cloud. Counts the requests that reached it.
+class ScriptedCloud final : public cloud::CloudProvider {
+ public:
+  using Script = std::function<Status(const std::string& path)>;
+
+  explicit ScriptedCloud(Script script, cloud::CloudId id = 1,
+                         const std::string& name = "m")
+      : script_(std::move(script)),
+        memory_(std::make_shared<cloud::MemoryCloud>(id, name)) {}
+
+  [[nodiscard]] cloud::CloudId id() const noexcept override {
+    return memory_->id();
+  }
+  [[nodiscard]] std::string name() const override { return memory_->name(); }
+
+  Status upload(const std::string& path, ByteSpan data) override {
+    UNI_RETURN_IF_ERROR(gate(path));
+    return memory_->upload(path, data);
+  }
+  Result<Bytes> download(const std::string& path) override {
+    UNI_RETURN_IF_ERROR(gate(path));
+    return memory_->download(path);
+  }
+  Status create_dir(const std::string& path) override {
+    UNI_RETURN_IF_ERROR(gate(path));
+    return memory_->create_dir(path);
+  }
+  Result<std::vector<cloud::FileInfo>> list(const std::string& dir) override {
+    UNI_RETURN_IF_ERROR(gate(dir));
+    return memory_->list(dir);
+  }
+  Status remove(const std::string& path) override {
+    UNI_RETURN_IF_ERROR(gate(path));
+    return memory_->remove(path);
+  }
+
+  [[nodiscard]] int calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+  [[nodiscard]] cloud::MemoryCloud& memory() noexcept { return *memory_; }
+
+ private:
+  Status gate(const std::string& path) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++calls_;
+    return script_(path);
+  }
+
+  Script script_;
+  std::shared_ptr<cloud::MemoryCloud> memory_;
+  mutable std::mutex mu_;
+  int calls_ = 0;
+};
+
+// Fails the first `n` requests with `code`, then lets them through.
+ScriptedCloud::Script fail_first(int n,
+                                 ErrorCode code = ErrorCode::kUnavailable) {
+  return [n, code](const std::string&) mutable -> Status {
+    if (n <= 0) return Status::ok();
+    --n;
+    return make_error(code, "scripted failure");
+  };
+}
+
+// --- the retry policy on the cloud stack ---------------------------------------
 
 TEST(RetryCallTest, FirstAttemptSuccessDoesNotSleep) {
   TestEnv t;
-  RetryEnv env = t.env();
-  int calls = 0;
-  const Status s = retry_call(RetryPolicy{}, env, [&] {
-    ++calls;
-    return Status::ok();
-  });
+  auto cloud = std::make_shared<ScriptedCloud>(fail_first(0));
+  const Status s = t.guard(cloud, RetryPolicy{}).upload("/f", ByteSpan(text("x")));
   EXPECT_TRUE(s.is_ok());
-  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(cloud->calls(), 1);
   EXPECT_TRUE(t.sleeps.empty());
 }
 
 TEST(RetryCallTest, TransientFailuresRetriedUntilSuccess) {
   TestEnv t;
-  RetryEnv env = t.env();
   RetryPolicy policy;
   policy.max_attempts = 5;
   policy.backoff_base = 0.1;
   policy.backoff_cap = 1.0;
-  int calls = 0;
-  const Status s = retry_call(policy, env, [&]() -> Status {
-    if (++calls < 3) return make_error(ErrorCode::kUnavailable, "flap");
-    return Status::ok();
-  });
+  auto cloud = std::make_shared<ScriptedCloud>(fail_first(2));
+  const Status s = t.guard(cloud, policy).upload("/f", ByteSpan(text("x")));
   EXPECT_TRUE(s.is_ok());
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(cloud->calls(), 3);
   ASSERT_EQ(t.sleeps.size(), 2u);
   for (const Duration d : t.sleeps) {
     EXPECT_GE(d, policy.backoff_base);
@@ -78,95 +159,76 @@ TEST(RetryCallTest, TransientFailuresRetriedUntilSuccess) {
 
 TEST(RetryCallTest, NonTransientErrorSurfacesImmediately) {
   TestEnv t;
-  RetryEnv env = t.env();
-  int calls = 0;
-  const Status s = retry_call(RetryPolicy{}, env, [&] {
-    ++calls;
-    return make_error(ErrorCode::kNotFound, "gone");
-  });
+  auto cloud =
+      std::make_shared<ScriptedCloud>(fail_first(100, ErrorCode::kNotFound));
+  const Status s = t.guard(cloud, RetryPolicy{}).remove("/gone");
   EXPECT_EQ(s.code(), ErrorCode::kNotFound);
-  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(cloud->calls(), 1);
   EXPECT_TRUE(t.sleeps.empty());
 }
 
 TEST(RetryCallTest, AttemptBudgetExhaustedReturnsLastError) {
   TestEnv t;
-  RetryEnv env = t.env();
   RetryPolicy policy;
   policy.max_attempts = 3;
   policy.backoff_base = 0.01;
   policy.backoff_cap = 0.05;
-  int calls = 0;
-  const Status s = retry_call(policy, env, [&] {
-    ++calls;
-    return make_error(ErrorCode::kUnavailable, "still down");
-  });
+  auto cloud = std::make_shared<ScriptedCloud>(fail_first(100));
+  const Status s = t.guard(cloud, policy).upload("/f", ByteSpan(text("x")));
   EXPECT_EQ(s.code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(cloud->calls(), 3);
   EXPECT_EQ(t.sleeps.size(), 2u);  // no sleep after the final attempt
 }
 
 TEST(RetryCallTest, SingleShotNeverRetries) {
   TestEnv t;
-  RetryEnv env = t.env();
-  int calls = 0;
-  const Status s = retry_call(RetryPolicy::single_shot(), env, [&] {
-    ++calls;
-    return make_error(ErrorCode::kUnavailable, "down");
-  });
+  auto cloud = std::make_shared<ScriptedCloud>(fail_first(100));
+  const Status s = t.guard(cloud, RetryPolicy::single_shot())
+                       .upload("/f", ByteSpan(text("x")));
   EXPECT_EQ(s.code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(cloud->calls(), 1);
 }
 
 TEST(RetryCallTest, TotalDeadlineStopsBeforeSleepingPastBudget) {
   TestEnv t;
-  RetryEnv env = t.env();
   RetryPolicy policy;
   policy.max_attempts = 100;
   policy.backoff_base = 10.0;  // every pause is at least 10 s
   policy.backoff_cap = 10.0;
   policy.total_deadline = 5.0;
-  int calls = 0;
-  const Status s = retry_call(policy, env, [&] {
-    ++calls;
-    return make_error(ErrorCode::kUnavailable, "down");
-  });
+  auto cloud = std::make_shared<ScriptedCloud>(fail_first(100));
+  const Status s = t.guard(cloud, policy).upload("/f", ByteSpan(text("x")));
   EXPECT_EQ(s.code(), ErrorCode::kTimeout);
-  EXPECT_EQ(calls, 1);  // the 10 s pause would overrun the 5 s budget
+  EXPECT_EQ(cloud->calls(), 1);  // the 10 s pause would overrun the 5 s budget
   EXPECT_TRUE(t.sleeps.empty());
 }
 
 TEST(RetryCallTest, SlowSuccessMapsToTimeout) {
   TestEnv t;
-  RetryEnv env = t.env();
   RetryPolicy policy;
   policy.max_attempts = 2;
   policy.backoff_base = 0.01;
   policy.backoff_cap = 0.01;
   policy.attempt_deadline = 1.0;
-  int calls = 0;
-  const Status s = retry_call(policy, env, [&] {
-    ++calls;
+  auto cloud = std::make_shared<ScriptedCloud>([&t](const std::string&) {
     t.clock.advance(5.0);  // the "request" stalls well past the deadline
     return Status::ok();
   });
+  const Status s = t.guard(cloud, policy).upload("/f", ByteSpan(text("x")));
   // Both attempts came back OK but too late; the result is a timeout.
   EXPECT_EQ(s.code(), ErrorCode::kTimeout);
-  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(cloud->calls(), 2);
 }
 
 TEST(RetryCallTest, ResultFlavourReturnsValueOfSuccessfulAttempt) {
   TestEnv t;
-  RetryEnv env = t.env();
-  int calls = 0;
-  const Result<int> r =
-      retry_call<int>(RetryPolicy{}, env, [&]() -> Result<int> {
-        if (++calls < 2) return make_error(ErrorCode::kTimeout, "slow");
-        return 7;
-      });
+  auto cloud =
+      std::make_shared<ScriptedCloud>(fail_first(1, ErrorCode::kTimeout));
+  ASSERT_TRUE(cloud->memory().upload("/seven", ByteSpan(text("7"))).is_ok());
+  const Result<Bytes> r = t.guard(cloud, RetryPolicy{}).download("/seven");
   ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value(), 7);
-  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(r.value(), text("7"));
+  EXPECT_EQ(cloud->calls(), 2);
 }
 
 TEST(BackoffStateTest, StaysWithinBaseAndCap) {
@@ -310,68 +372,16 @@ TEST(CloudHealthRegistryTest, SnapshotReportsStats) {
   EXPECT_EQ(all[1].id, 5u);
 }
 
-// --- RetryingCloud / DeadlineCloud --------------------------------------------
-
-// Fails the first `fail_first` requests with kUnavailable, then delegates.
-class FlakyCloud final : public cloud::CloudProvider {
- public:
-  FlakyCloud(cloud::CloudPtr inner, int fail_first)
-      : inner_(std::move(inner)), remaining_(fail_first) {}
-
-  [[nodiscard]] cloud::CloudId id() const noexcept override {
-    return inner_->id();
-  }
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-
-  Status upload(const std::string& path, ByteSpan data) override {
-    UNI_RETURN_IF_ERROR(gate());
-    return inner_->upload(path, data);
-  }
-  Result<Bytes> download(const std::string& path) override {
-    UNI_RETURN_IF_ERROR(gate());
-    return inner_->download(path);
-  }
-  Status create_dir(const std::string& path) override {
-    UNI_RETURN_IF_ERROR(gate());
-    return inner_->create_dir(path);
-  }
-  Result<std::vector<cloud::FileInfo>> list(const std::string& dir) override {
-    UNI_RETURN_IF_ERROR(gate());
-    return inner_->list(dir);
-  }
-  Status remove(const std::string& path) override {
-    UNI_RETURN_IF_ERROR(gate());
-    return inner_->remove(path);
-  }
-
-  [[nodiscard]] int calls() const noexcept { return calls_; }
-
- private:
-  Status gate() {
-    ++calls_;
-    if (remaining_ > 0) {
-      --remaining_;
-      return make_error(ErrorCode::kUnavailable, "flaky");
-    }
-    return Status::ok();
-  }
-
-  cloud::CloudPtr inner_;
-  int remaining_;
-  int calls_ = 0;
-};
+// --- breaker and deadlines on the cloud stack ----------------------------------
 
 TEST(RetryingCloudTest, RetriesThroughTransientFailures) {
-  auto memory = std::make_shared<cloud::MemoryCloud>(1, "m");
-  auto flaky = std::make_shared<FlakyCloud>(memory, 2);
-  ManualClock clock;
+  TestEnv t;
   RetryPolicy policy;
   policy.max_attempts = 4;
   policy.backoff_base = 0.01;
   policy.backoff_cap = 0.05;
-  cloud::RetryingCloud guarded(
-      flaky, policy, nullptr, clock,
-      [&clock](Duration d) { clock.advance(d); }, Rng(1));
+  auto flaky = std::make_shared<ScriptedCloud>(fail_first(2));
+  cloud::BlockingCloud guarded = t.guard(flaky, policy);
 
   EXPECT_TRUE(guarded.upload("/f", ByteSpan(text("hello"))).is_ok());
   EXPECT_EQ(flaky->calls(), 3);  // two failures + the success
@@ -379,20 +389,18 @@ TEST(RetryingCloudTest, RetriesThroughTransientFailures) {
 }
 
 TEST(RetryingCloudTest, CircuitOpensAndFailsFastWithoutTouchingInner) {
+  TestEnv t;
   auto memory = std::make_shared<cloud::MemoryCloud>(1, "m");
   auto faulty =
       std::make_shared<cloud::FaultyCloud>(memory, cloud::FaultProfile{}, 9);
   faulty->set_outage(true);
-  ManualClock clock;
   auto health =
-      std::make_shared<cloud::CloudHealthRegistry>(small_breaker(), clock);
+      std::make_shared<cloud::CloudHealthRegistry>(small_breaker(), t.clock);
   RetryPolicy policy;
   policy.max_attempts = 2;
   policy.backoff_base = 0.001;
   policy.backoff_cap = 0.002;
-  cloud::RetryingCloud guarded(
-      faulty, policy, health, clock,
-      [&clock](Duration d) { clock.advance(d); }, Rng(1));
+  cloud::BlockingCloud guarded = t.guard(faulty, policy, health);
 
   // Outage responses are kOutage (non-transient): one inner request per
   // call. Three calls trip the breaker (threshold 3).
@@ -410,16 +418,15 @@ TEST(RetryingCloudTest, CircuitOpensAndFailsFastWithoutTouchingInner) {
 }
 
 TEST(RetryingCloudTest, RecoveredCloudReadmittedViaProbe) {
+  TestEnv t;
   auto memory = std::make_shared<cloud::MemoryCloud>(1, "m");
   auto faulty =
       std::make_shared<cloud::FaultyCloud>(memory, cloud::FaultProfile{}, 9);
   faulty->set_outage(true);
-  ManualClock clock;
   auto health =
-      std::make_shared<cloud::CloudHealthRegistry>(small_breaker(), clock);
-  cloud::RetryingCloud guarded(
-      faulty, RetryPolicy::single_shot(), health, clock,
-      [&clock](Duration d) { clock.advance(d); }, Rng(1));
+      std::make_shared<cloud::CloudHealthRegistry>(small_breaker(), t.clock);
+  cloud::BlockingCloud guarded =
+      t.guard(faulty, RetryPolicy::single_shot(), health);
 
   for (int i = 0; i < 3; ++i) {
     (void)guarded.upload("/f", ByteSpan(text("x")));
@@ -427,27 +434,25 @@ TEST(RetryingCloudTest, RecoveredCloudReadmittedViaProbe) {
   ASSERT_EQ(health->state(1), cloud::BreakerState::kOpen);
 
   faulty->set_outage(false);
-  clock.advance(31.0);  // past open_duration
+  t.clock.advance(31.0);  // past open_duration
   EXPECT_TRUE(guarded.upload("/f", ByteSpan(text("x"))).is_ok());
   EXPECT_EQ(health->state(1), cloud::BreakerState::kClosed);
   EXPECT_EQ(memory->download("/f").value(), text("x"));
 }
 
 TEST(RetryingCloudTest, AttemptDeadlineMapsHangToTimeout) {
+  TestEnv t;
   auto memory = std::make_shared<cloud::MemoryCloud>(1, "m");
-  ManualClock clock;
   cloud::FaultProfile profile;
   profile.hang_rate = 1.0;
   profile.hang_seconds = 5.0;
   auto faulty = std::make_shared<cloud::FaultyCloud>(
-      memory, profile, 9, [&clock](Duration d) { clock.advance(d); });
+      memory, profile, 9, [&t](Duration d) { t.clock.advance(d); });
   auto health =
-      std::make_shared<cloud::CloudHealthRegistry>(small_breaker(), clock);
+      std::make_shared<cloud::CloudHealthRegistry>(small_breaker(), t.clock);
   RetryPolicy policy = RetryPolicy::single_shot();
   policy.attempt_deadline = 1.0;
-  cloud::RetryingCloud guarded(
-      faulty, policy, health, clock,
-      [&clock](Duration d) { clock.advance(d); }, Rng(1));
+  cloud::BlockingCloud guarded = t.guard(faulty, policy, health);
 
   const Status s = guarded.upload("/f", ByteSpan(text("x")));
   EXPECT_EQ(s.code(), ErrorCode::kTimeout);
@@ -456,21 +461,161 @@ TEST(RetryingCloudTest, AttemptDeadlineMapsHangToTimeout) {
   EXPECT_EQ(health->snapshot(1).failures, 1u);
 }
 
+// The deadline-only wrapper: one attempt, no breaker, deadline mapping.
 TEST(DeadlineCloudTest, MapsOverlongCallToTimeout) {
+  TestEnv t;
   auto memory = std::make_shared<cloud::MemoryCloud>(1, "m");
-  ManualClock clock;
   cloud::FaultProfile profile;
   profile.hang_rate = 1.0;
   profile.hang_seconds = 9.0;
   auto faulty = std::make_shared<cloud::FaultyCloud>(
-      memory, profile, 9, [&clock](Duration d) { clock.advance(d); });
-  cloud::DeadlineCloud deadline(faulty, 2.0, clock);
+      memory, profile, 9, [&t](Duration d) { t.clock.advance(d); });
+  RetryPolicy policy = RetryPolicy::single_shot();
+  policy.attempt_deadline = 2.0;
+  cloud::BlockingCloud deadline = t.guard(faulty, policy);
 
   const Status s = deadline.upload("/f", ByteSpan(text("late")));
   EXPECT_EQ(s.code(), ErrorCode::kTimeout);
   // The inner call DID complete (the verb cannot be aborted mid-flight);
   // only the caller's view of it is a timeout.
   EXPECT_EQ(memory->download("/f").value(), text("late"));
+}
+
+// --- one stack for the data and control planes ---------------------------------
+
+// Sum of the cloud.<name>.<verb>.<area>.ok|err request counters.
+std::uint64_t metered_requests(const obs::MetricsSnapshot& m,
+                               const std::string& name) {
+  const std::string prefix = "cloud." + name + ".";
+  std::uint64_t total = 0;
+  for (const auto& [key, value] : m.counters) {
+    if (key.rfind(prefix, 0) != 0) continue;
+    if (key.ends_with(".ok") || key.ends_with(".err")) total += value;
+  }
+  return total;
+}
+
+TEST(CloudStackTest, DataPlaneBreakerFailsControlPlaneFast) {
+  TestEnv t;
+  auto obs = std::make_shared<obs::Observability>(t.clock);
+  auto health =
+      std::make_shared<cloud::CloudHealthRegistry>(small_breaker(), t.clock);
+  std::vector<std::shared_ptr<cloud::FaultyCloud>> faulty;
+  cloud::MultiCloud raw;
+  for (cloud::CloudId i = 0; i < 3; ++i) {
+    faulty.push_back(std::make_shared<cloud::FaultyCloud>(
+        std::make_shared<cloud::MemoryCloud>(i, "c" + std::to_string(i)),
+        cloud::FaultProfile{}, i));
+    raw.push_back(faulty.back());
+  }
+  const cloud::AsyncMultiCloud stacks =
+      cloud::guard_clouds(raw, RetryPolicy{}, health, t.rng, t.ctx(obs));
+  cloud::MultiCloud control;
+  for (const auto& s : stacks) {
+    control.push_back(std::make_shared<cloud::BlockingCloud>(s));
+  }
+
+  // Data plane: block uploads to c0 fail until its breaker opens.
+  faulty[0]->set_outage(true);
+  const Bytes block = text("block");
+  for (int i = 0; i < 3; ++i) {
+    auto done = std::make_shared<std::promise<Status>>();
+    stacks[0]->upload_async(
+        "/data/b" + std::to_string(i), ByteSpan(block),
+        [done](Status s) { done->set_value(std::move(s)); });
+    EXPECT_EQ(done->get_future().get().code(), ErrorCode::kOutage);
+  }
+  ASSERT_EQ(health->state(0), cloud::BreakerState::kOpen);
+
+  // Control plane: the metadata store's version probe over the same stack.
+  const obs::MetricsSnapshot before = obs->metrics.snapshot();
+  std::vector<std::uint64_t> reached;
+  for (const auto& f : faulty) reached.push_back(f->requests());
+  metadata::ShardedMetaStore store(control, "pass", metadata::ShardConfig{});
+  // Nothing committed yet: c1 and c2 answer kNotFound, c0 is refused.
+  EXPECT_EQ(store.fetch_remote_version().code(), ErrorCode::kNotFound);
+  const obs::MetricsSnapshot after = obs->metrics.snapshot();
+
+  // c0 failed fast: the breaker refused the attempt before the request
+  // reached the cloud or the meter.
+  EXPECT_EQ(faulty[0]->requests(), reached[0]);
+  EXPECT_EQ(metered_requests(after, "c0"), metered_requests(before, "c0"));
+  EXPECT_EQ(after.counter_value("retry.c0.attempts"),
+            before.counter_value("retry.c0.attempts") + 1);
+  const Result<Bytes> refused = control[0]->download("/meta/root");
+  EXPECT_EQ(refused.code(), ErrorCode::kOutage);
+  EXPECT_NE(refused.status().message().find("circuit open"),
+            std::string::npos);
+
+  // c1/c2: every control-plane attempt reached the cloud and was metered
+  // exactly once.
+  for (std::size_t i = 1; i < faulty.size(); ++i) {
+    const std::string name = "c" + std::to_string(i);
+    const std::uint64_t attempts =
+        after.counter_value("retry." + name + ".attempts") -
+        before.counter_value("retry." + name + ".attempts");
+    EXPECT_GE(attempts, 1u);
+    EXPECT_EQ(faulty[i]->requests() - reached[i], attempts);
+    EXPECT_EQ(metered_requests(after, name) - metered_requests(before, name),
+              attempts);
+  }
+}
+
+// Fails the first /data request with kUnavailable; everything else goes
+// through.
+ScriptedCloud::Script first_block_flakes() {
+  return [flaked = false](const std::string& path) mutable -> Status {
+    if (flaked || path.rfind("/data", 0) != 0) return Status::ok();
+    flaked = true;
+    return make_error(ErrorCode::kUnavailable, "first block flakes");
+  };
+}
+
+// Each cloud's data-plane retry draws its backoff jitter from the client's
+// Rng: two clients seeded differently back off differently on the same
+// failure. One connection per cloud makes the flaking upload the first
+// retrying op each cloud's stack launches.
+TEST(CloudStackTest, ClientRngSeedsDataPlaneBackoffJitter) {
+  constexpr int kClouds = 4;
+  auto backoffs = [](std::uint64_t seed) {
+    cloud::MultiCloud clouds;
+    for (int i = 0; i < kClouds; ++i) {
+      clouds.push_back(std::make_shared<ScriptedCloud>(
+          first_block_flakes(), static_cast<cloud::CloudId>(i),
+          "c" + std::to_string(i)));
+    }
+    auto fs = std::make_shared<core::MemoryLocalFs>();
+    EXPECT_TRUE(fs->write("/f", ByteSpan(Bytes(3000, 0x5a))).is_ok());
+    core::ClientConfig cfg;
+    cfg.theta = 64 << 10;
+    cfg.driver.connections_per_cloud = 1;
+    cfg.retry.backoff_base = 0.001;
+    cfg.retry.backoff_cap = 0.01;
+    core::UniDriveClient client(clouds, fs, cfg, RealClock::instance(),
+                                Rng(seed));
+    auto report = client.sync();
+    EXPECT_TRUE(report.is_ok() && report.value().committed);
+    const obs::MetricsSnapshot m =
+        client.observability()->metrics.snapshot();
+    std::vector<double> first;
+    for (int i = 0; i < kClouds; ++i) {
+      const auto it = m.histograms.find("retry.c" + std::to_string(i) +
+                                        ".backoff");
+      first.push_back(it == m.histograms.end() || it->second.count == 0
+                          ? -1.0
+                          : it->second.min);
+    }
+    return first;
+  };
+  const std::vector<double> a = backoffs(1);
+  const std::vector<double> b = backoffs(2);
+  int compared = 0;
+  for (int i = 0; i < kClouds; ++i) {
+    if (a[i] < 0 || b[i] < 0) continue;
+    ++compared;
+    EXPECT_NE(a[i], b[i]) << "cloud c" << i;
+  }
+  EXPECT_GE(compared, 1);
 }
 
 // --- FaultyCloud fault injectors ----------------------------------------------

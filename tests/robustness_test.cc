@@ -11,7 +11,6 @@
 #include "metadata/codec.h"
 #include "metadata/delta.h"
 #include "metadata/image.h"
-#include "metadata/version_file.h"
 
 UNIDRIVE_REGISTER_SEED_LISTENER()
 
@@ -38,14 +37,6 @@ TEST(RobustnessTest, DeltaDeserializeSurvivesRandomBytes) {
   for (int trial = 0; trial < 300; ++trial) {
     const Bytes junk = rng.bytes(rng.next_below(2000));
     (void)metadata::DeltaLog::deserialize(ByteSpan(junk));
-  }
-}
-
-TEST(RobustnessTest, VersionFileSurvivesRandomBytes) {
-  Rng rng(test_seed(3));
-  for (int trial = 0; trial < 300; ++trial) {
-    const Bytes junk = rng.bytes(rng.next_below(100));
-    (void)metadata::parse_version_file(ByteSpan(junk));
   }
 }
 
