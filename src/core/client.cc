@@ -56,6 +56,43 @@ cloud::MultiCloud blocking_facades(const cloud::AsyncMultiCloud& stacks) {
   return facades;
 }
 
+// The changes that turn `cloud` into `merged`, for the shard delta logs of
+// a merge commit: segment records `cloud` lacks, then file and directory
+// differences.
+std::vector<Change> changes_between(const SyncFolderImage& cloud,
+                                    const SyncFolderImage& merged) {
+  std::vector<Change> changes;
+  for (const auto& [id, seg] : merged.segments()) {
+    if (cloud.find_segment(id) == nullptr) {
+      changes.push_back(Change::upsert_segment(seg));
+    }
+  }
+  const metadata::ImageDiff d = metadata::diff_images(cloud, merged);
+  for (const auto& [path, ec] : d.files) {
+    changes.push_back(ec.kind == metadata::EntryChangeKind::kDeleted
+                          ? Change::delete_file(path)
+                          : Change::upsert_file(*ec.snapshot));
+  }
+  for (const std::string& dir : d.added_dirs) {
+    changes.push_back(Change::add_dir(dir));
+  }
+  for (const std::string& dir : d.removed_dirs) {
+    changes.push_back(Change::delete_dir(dir));
+  }
+  return changes;
+}
+
+// The committed manifest a commit is fenced on; before the first commit
+// ever, an empty one with the store's shard count.
+Result<metadata::ShardManifest> fenced_manifest(
+    metadata::ShardedMetaStore& store) {
+  auto manifest = store.fetch_manifest();
+  if (manifest.code() != ErrorCode::kNotFound) return manifest;
+  metadata::ShardManifest first;
+  first.num_shards = store.num_shards();
+  return first;
+}
+
 }  // namespace
 
 UniDriveClient::UniDriveClient(cloud::MultiCloud clouds,
@@ -338,10 +375,9 @@ Result<Bytes> UniDriveClient::fetch_segment(
   }
 }
 
-Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
-    const SyncFolderImage& target) {
+Status UniDriveClient::apply_cloud_image(const SyncFolderImage& target,
+                                         SyncReport& report) {
   const metadata::ImageDiff diff = metadata::diff_images(image_, target);
-  ApplyOutcome outcome;
 
   // Directory failures must not be swallowed: a file materialized into a
   // missing directory fails too, and the caller needs to know the folder
@@ -349,7 +385,7 @@ Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
   for (const std::string& d : diff.added_dirs) {
     const Status s = fs_->make_dir(d);
     if (!s.is_ok()) {
-      outcome.dir_failures.push_back(d);
+      report.dir_failures.push_back(d);
       UNI_LOG(kWarn) << "make_dir " << d << " failed: " << s.to_string();
     }
   }
@@ -373,34 +409,40 @@ Result<UniDriveClient::ApplyOutcome> UniDriveClient::apply_cloud_image(
         break;
       }
       case metadata::EntryChangeKind::kDeleted:
-        if (fs_->remove(path).is_ok()) ++outcome.removed;
+        if (fs_->remove(path).is_ok()) ++report.files_removed;
         break;
     }
   }
 
   if (!to_download.empty()) {
     UNI_RETURN_IF_ERROR(
-        restore_files(to_download, target, &outcome.downloaded));
+        restore_files(to_download, target, &report.files_downloaded));
   }
 
   for (const std::string& d : diff.removed_dirs) {
     const Status s = fs_->remove_dir(d);
     // Already gone is the desired end state, not a failure.
     if (!s.is_ok() && s.code() != ErrorCode::kNotFound) {
-      outcome.dir_failures.push_back(d);
+      report.dir_failures.push_back(d);
       UNI_LOG(kWarn) << "remove_dir " << d << " failed: " << s.to_string();
     }
   }
 
   image_ = target;
-  return outcome;
+  if (!report.dir_failures.empty()) {
+    report.materialize = Status(
+        ErrorCode::kUnavailable,
+        "folder materialization incomplete: " +
+            std::to_string(report.dir_failures.size()) +
+            " directory operation(s) failed");
+  }
+  return Status::ok();
 }
 
 // --- control plane ----------------------------------------------------------
 
 std::vector<lock::Scope> UniDriveClient::all_scopes() const {
   std::vector<lock::Scope> scopes;
-  scopes.reserve(store_.num_shards() + 1);
   for (std::uint32_t s = 0; s < store_.num_shards(); ++s) {
     scopes.push_back(lock::Scope::of_shard(s));
   }
@@ -408,34 +450,16 @@ std::vector<lock::Scope> UniDriveClient::all_scopes() const {
   return scopes;
 }
 
-Result<metadata::ShardManifest> UniDriveClient::publish_and_flip(
-    const SyncFolderImage& next, const std::vector<Change>& changes,
-    const metadata::ShardManifest& fenced, const VersionStamp& stamp) {
-  const auto slices =
-      metadata::split_changes_by_shard(changes, store_.num_shards());
-  std::vector<metadata::ShardEntry> dirty;
-  dirty.reserve(slices.size());
-  for (const metadata::ShardSlice& slice : slices) {
-    UNI_ASSIGN_OR_RETURN(
-        metadata::ShardEntry entry,
-        store_.publish_shard(slice.shard, fenced.find(slice.shard),
-                             slice.changes, next, stamp,
-                             config_.delta_policy));
-    dirty.push_back(std::move(entry));
-  }
-  return store_.commit_manifest(dirty, fenced, stamp);
-}
-
 void UniDriveClient::absorb_foreign_shards(
     SyncFolderImage& next, const metadata::ShardManifest& fenced,
     const metadata::ShardManifest& committed,
-    const std::vector<metadata::ShardId>& own) {
+    const std::vector<metadata::ShardEntry>& own) {
   std::set<metadata::ShardId> foreign;
   for (const metadata::ShardEntry& e : committed.entries) {
-    if (std::find(own.begin(), own.end(), e.id) != own.end()) continue;
     const metadata::ShardEntry* was = fenced.find(e.id);
     if (was == nullptr || was->version < e.version) foreign.insert(e.id);
   }
+  for (const metadata::ShardEntry& o : own) foreign.erase(o.id);
   if (foreign.empty()) return;
 
   // Rebuild the image as (our shards, untouched) + (foreign shards, as
@@ -470,235 +494,127 @@ void UniDriveClient::absorb_foreign_shards(
   next = std::move(merged);
 }
 
-Status UniDriveClient::commit_sharded(const SyncFolderImage& local,
-                                      std::vector<Change> changes,
-                                      SyncReport* report) {
+Status UniDriveClient::commit(CommitTxn& txn) {
   constexpr int kMaxAttempts = 4;
-  Status last = Status::ok();
+  Status last = make_error(ErrorCode::kLockContention,
+                           "commit retry budget exhausted");
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+    if (txn.changes.empty()) return Status::ok();
     const std::uint32_t n = store_.num_shards();
-    auto slices = metadata::split_changes_by_shard(changes, n);
-    std::vector<lock::Scope> scopes;
-    scopes.reserve(slices.size());
+    auto slices = metadata::split_changes_by_shard(txn.changes, n);
+    std::vector<lock::Scope> scopes = txn.scopes;
     for (const metadata::ShardSlice& s : slices) {
       scopes.push_back(lock::Scope::of_shard(s.shard));
     }
-    UNI_RETURN_IF_ERROR(locks_.acquire_all(scopes));
+    lock::LockManager::Hold hold(locks_);
+    UNI_RETURN_IF_ERROR(hold.acquire(std::move(scopes)));
 
-    metadata::ShardManifest fenced;
-    {
-      auto manifest = store_.fetch_manifest();
-      if (manifest.is_ok()) {
-        fenced = std::move(manifest).take();
-      } else if (manifest.code() == ErrorCode::kNotFound) {
-        fenced.num_shards = n;  // first commit ever
-      } else {
-        locks_.release_all();
-        return manifest.status();
-      }
-    }
-    if (store_.num_shards() != n) {
-      // The published manifest was created with a different shard count
-      // (that choice is authoritative): re-route and re-lock.
-      locks_.release_all();
-      continue;
-    }
+    UNI_ASSIGN_OR_RETURN(const metadata::ShardManifest fenced,
+                         fenced_manifest(store_));
+    // The published manifest was created with a different shard count
+    // (that choice is authoritative): re-route and re-lock.
+    if (store_.num_shards() != n) continue;
 
-    SyncFolderImage next = local;
-    if (image_.version() < fenced.version) {
-      // A foreign commit landed since our last reconcile: fetch and 3-way
-      // merge before committing (conflicts keep both copies).
-      auto fetched = store_.fetch_latest();
-      if (!fetched.is_ok()) {
-        locks_.release_all();
-        return fetched.status();
-      }
-      obs::Span merge_span = obs::start_span(obs_.get(), "sync.merge");
-      metadata::MergeResult merged = metadata::merge_images(
-          image_, local, fetched.value().image, config_.device);
-      merge_span.end();
-      if (report != nullptr) report->conflicts = merged.conflicts;
-      obs::add_counter(obs_.get(), "sync.conflicts", merged.conflicts.size());
-      // The merge may have rewritten paths (conflict copies): recompute the
-      // change list as the diff cloud->merged for the shard delta logs.
-      std::vector<Change> merged_changes;
-      for (const auto& [id, seg] : merged.merged.segments()) {
-        if (fetched.value().image.find_segment(id) == nullptr) {
-          merged_changes.push_back(Change::upsert_segment(seg));
-        }
-      }
-      const metadata::ImageDiff d =
-          metadata::diff_images(fetched.value().image, merged.merged);
-      for (const auto& [path, ec] : d.files) {
-        if (ec.kind == metadata::EntryChangeKind::kDeleted) {
-          merged_changes.push_back(Change::delete_file(path));
-        } else {
-          merged_changes.push_back(Change::upsert_file(*ec.snapshot));
-        }
-      }
-      for (const std::string& dir : d.added_dirs) {
-        merged_changes.push_back(Change::add_dir(dir));
-      }
-      for (const std::string& dir : d.removed_dirs) {
-        merged_changes.push_back(Change::delete_dir(dir));
-      }
-      next = std::move(merged.merged);
-      changes = std::move(merged_changes);
-      if (changes.empty()) {
-        // The cloud already carries everything we have: adopt, no commit.
-        next.set_version(fetched.value().image.version());
-        image_ = std::move(next);
-        locks_.release_all();
-        return Status::ok();
-      }
-      // The merge may have routed changes into shards we do not hold yet
-      // (conflict copies in other subtrees): re-lock with the full set.
-      slices = metadata::split_changes_by_shard(changes, n);
-      bool covered = true;
-      for (const metadata::ShardSlice& s : slices) {
-        if (!locks_.held(lock::Scope::of_shard(s.shard))) {
-          covered = false;
-          break;
-        }
-      }
+    if (txn.basis < fenced.version) {
+      // A foreign commit landed since the basis: rebuild on the fresh image.
+      UNI_ASSIGN_OR_RETURN(metadata::FetchedMetadata fresh,
+                           store_.fetch_latest());
+      txn.basis = fresh.version;
+      txn.rebuild(std::move(fresh.image), txn);
+      if (txn.changes.empty()) return Status::ok();
+      // The rebuilt changes may route into shards we do not hold (merge
+      // conflict copies in other subtrees): re-lock with the full set.
+      slices = metadata::split_changes_by_shard(txn.changes, n);
+      const bool covered = std::all_of(
+          slices.begin(), slices.end(), [&](const metadata::ShardSlice& s) {
+            return locks_.held(lock::Scope::of_shard(s.shard));
+          });
       if (!covered) {
-        locks_.release_all();
         last = make_error(ErrorCode::kLockContention,
-                          "merge widened the dirty shard set");
+                          "rebuild widened the dirty shard set");
         continue;
       }
     }
 
-    VersionStamp stamp;
-    stamp.device = config_.device;
-    stamp.counter =
-        std::max(fenced.version.counter, image_.version().counter) + 1;
-    stamp.timestamp = clock_.now();
-    next.set_version(stamp);
+    const VersionStamp stamp{
+        config_.device,
+        std::max(fenced.version.counter, image_.version().counter) + 1,
+        clock_.now()};
+    txn.next.set_version(stamp);
 
-    // Stage every dirty shard WITHOUT the root scope — the heavy object
-    // uploads run concurrently with other writers' disjoint commits.
-    std::vector<metadata::ShardId> own;
-    own.reserve(slices.size());
+    // Stage every dirty shard; unless the caller holds root, the heavy
+    // object uploads run concurrently with other writers' disjoint commits.
     std::vector<metadata::ShardEntry> dirty;
     dirty.reserve(slices.size());
-    Status staged = Status::ok();
     for (const metadata::ShardSlice& slice : slices) {
-      auto entry = store_.publish_shard(slice.shard, fenced.find(slice.shard),
-                                        slice.changes, next, stamp,
-                                        config_.delta_policy);
-      if (!entry.is_ok()) {
-        staged = entry.status();
-        break;
-      }
-      own.push_back(slice.shard);
-      dirty.push_back(std::move(entry).take());
-    }
-    if (!staged.is_ok()) {
-      locks_.release_all();
-      return staged;
+      UNI_ASSIGN_OR_RETURN(
+          metadata::ShardEntry entry,
+          store_.publish_shard(slice.shard, fenced.find(slice.shard),
+                               slice.changes, txn.next, stamp,
+                               config_.delta_policy));
+      dirty.push_back(std::move(entry));
     }
 
-    // Root scope only for the manifest flip — the global choke point stays
-    // as narrow as the commit protocol allows.
-    if (const Status s = locks_.acquire(lock::Scope::root()); !s.is_ok()) {
-      locks_.release_all();
-      return s;
-    }
+    // Root scope only for the manifest flip (a no-op when already held) —
+    // the global choke point stays as narrow as the protocol allows.
+    UNI_RETURN_IF_ERROR(hold.acquire({lock::Scope::root()}));
     auto flipped = store_.commit_manifest(dirty, fenced, stamp);
-    locks_.release_all();
+    hold.release();
     if (!flipped.is_ok()) {
-      if (flipped.code() == ErrorCode::kConflict) {
-        last = flipped.status();
-        continue;  // restage from fresh state
-      }
-      return flipped.status();
+      if (flipped.code() != ErrorCode::kConflict) return flipped.status();
+      last = flipped.status();
+      continue;  // restage from fresh state
     }
-    next.set_version(flipped.value().version);
-    absorb_foreign_shards(next, fenced, flipped.value(), own);
-    image_ = std::move(next);
-    return Status::ok();
-  }
-  return last.is_ok() ? make_error(ErrorCode::kLockContention,
-                                   "sharded commit retry budget exhausted")
-                      : last;
-}
-
-Status UniDriveClient::locked_mutation(
-    const std::function<std::vector<Change>(SyncFolderImage&)>& mutate,
-    bool adopt) {
-  constexpr int kMaxAttempts = 3;
-  Status last = make_error(ErrorCode::kConflict,
-                           "maintenance commit retry budget exhausted");
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    auto fetched = store_.fetch_latest();
-    if (!fetched.is_ok() && fetched.code() != ErrorCode::kNotFound) {
-      return fetched.status();
-    }
-    SyncFolderImage next =
-        fetched.is_ok() ? std::move(fetched).take().image : image_;
-    const VersionStamp basis = next.version();
-
-    std::vector<Change> changes = mutate(next);
-    if (changes.empty()) return Status::ok();
-
-    const std::uint32_t n = store_.num_shards();
-    const auto slices = metadata::split_changes_by_shard(changes, n);
-    std::vector<lock::Scope> scopes;
-    scopes.reserve(slices.size() + 1);
-    for (const metadata::ShardSlice& s : slices) {
-      scopes.push_back(lock::Scope::of_shard(s.shard));
-    }
-    scopes.push_back(lock::Scope::root());
-    UNI_RETURN_IF_ERROR(locks_.acquire_all(scopes));
-
-    metadata::ShardManifest fenced;
-    auto manifest = store_.fetch_manifest();
-    if (manifest.is_ok()) {
-      fenced = std::move(manifest).take();
-    } else if (manifest.code() == ErrorCode::kNotFound) {
-      fenced.num_shards = n;
-    } else {
-      locks_.release_all();
-      return manifest.status();
-    }
-    if (store_.num_shards() != n || fenced.version < basis ||
-        basis < fenced.version) {
-      // A commit landed between our fetch and the locks (the mutation was
-      // computed against stale state): recompute from fresh state.
-      locks_.release_all();
-      last = make_error(ErrorCode::kConflict,
-                        "metadata moved while staging a maintenance commit");
-      continue;
-    }
-
-    VersionStamp stamp;
-    stamp.device = config_.device;
-    stamp.counter =
-        std::max(fenced.version.counter, image_.version().counter) + 1;
-    stamp.timestamp = clock_.now();
-    next.set_version(stamp);
-
-    auto flipped = publish_and_flip(next, changes, fenced, stamp);
-    if (!flipped.is_ok()) {
-      locks_.release_all();
-      if (flipped.code() == ErrorCode::kConflict) {
-        last = flipped.status();
-        continue;
-      }
-      return flipped.status();
-    }
-    if (adopt) {
-      next.set_version(flipped.value().version);
-      image_ = std::move(next);
-      if (config_.pool != nullptr) {
-        config_.pool->absorb_image(config_.folder_id, image_);
-      }
-    }
-    locks_.release_all();
+    txn.next.set_version(flipped.value().version);
+    absorb_foreign_shards(txn.next, fenced, flipped.value(), dirty);
     return Status::ok();
   }
   return last;
+}
+
+Status UniDriveClient::commit_fresh(std::vector<lock::Scope> scopes,
+                                    const PlanFn& plan,
+                                    const std::function<void()>& after_flip) {
+  CommitTxn txn;
+  txn.scopes = std::move(scopes);
+  txn.rebuild = [&plan](SyncFolderImage fresh, CommitTxn& t) {
+    t.changes = plan(fresh);
+    for (const Change& c : t.changes) apply_change(fresh, c);
+    t.next = std::move(fresh);
+  };
+  auto fetched = store_.fetch_latest();
+  if (!fetched.is_ok() && fetched.code() != ErrorCode::kNotFound) {
+    return fetched.status();
+  }
+  SyncFolderImage base =
+      fetched.is_ok() ? std::move(fetched).take().image : image_;
+  txn.basis = base.version();
+  txn.rebuild(std::move(base), txn);
+  UNI_RETURN_IF_ERROR(commit(txn));
+  if (txn.changes.empty()) return Status::ok();
+  if (after_flip) after_flip();
+  // v_o advances to the commit only when the commit was built on it.
+  // Otherwise only the commit's own changes fold into v_o: jumping past
+  // foreign commits would skip their materialization in the local folder
+  // (and the next scan would read their files as local deletions).
+  if (txn.basis == image_.version()) {
+    image_ = std::move(txn.next);
+  } else {
+    for (const Change& c : txn.changes) apply_change(image_, c);
+  }
+  if (config_.pool != nullptr) {
+    config_.pool->absorb_image(config_.folder_id, image_);
+  }
+  return Status::ok();
+}
+
+void UniDriveClient::remove_blocks(const SegmentInfo& segment) {
+  for (const metadata::BlockLocation& b : segment.blocks) {
+    cloud::CloudProvider* provider = find_cloud(b.cloud);
+    if (provider != nullptr) {
+      (void)provider->remove(metadata::block_path(segment.id, b.block_index));
+    }
+  }
 }
 
 Result<SyncReport> UniDriveClient::sync() {
@@ -757,73 +673,63 @@ Result<SyncReport> UniDriveClient::sync() {
 
     // Build v_l = v_o + epsilon (+ fresh segment records).
     SyncFolderImage local = image_;
-    std::vector<Change> committed_changes;
+    CommitTxn txn;
     for (const SegmentInfo& seg : uploaded) {
       Change c = Change::upsert_segment(seg);
       apply_change(local, c);
-      committed_changes.push_back(std::move(c));
+      txn.changes.push_back(std::move(c));
     }
     for (const Change& c : scan.changes.aggregated()) {
       apply_change(local, c);
-      committed_changes.push_back(c);
+      txn.changes.push_back(c);
       if (c.kind == metadata::ChangeKind::kUpsertFile) ++report.files_uploaded;
     }
+    txn.next = local;
+    txn.basis = image_.version();
+    // Behind the cloud: 3-way merge v_o, v_l and the fresh image (conflicts
+    // keep both copies) and commit the merge's difference to the cloud.
+    txn.rebuild = [&](SyncFolderImage fresh, CommitTxn& t) {
+      obs::Span merge_span = obs::start_span(obs_.get(), "sync.merge");
+      metadata::MergeResult merged =
+          metadata::merge_images(image_, local, fresh, config_.device);
+      merge_span.end();
+      report.conflicts = merged.conflicts;
+      obs::add_counter(obs_.get(), "sync.conflicts", merged.conflicts.size());
+      t.changes = changes_between(fresh, merged.merged);
+      t.next = std::move(merged.merged);
+      t.next.set_version(fresh.version());  // adopted as is if no changes
+    };
 
     {
-      // Sharded commit: locks only the dirty shard scopes (merging against
-      // the cloud state when behind), stages one delta object per dirty
-      // shard and flips the root manifest atomically under the root scope.
+      // Locks only the dirty shard scopes, stages one delta object per
+      // dirty shard and flips the root manifest under the root scope.
       obs::Span commit_span = round_span.child("sync.commit");
-      UNI_RETURN_IF_ERROR(
-          commit_sharded(local, std::move(committed_changes), &report));
+      UNI_RETURN_IF_ERROR(commit(txn));
     }
     report.committed = true;
 
     // Bring the local folder up to the committed state (conflict copies,
     // concurrently added files from other devices). The local folder
-    // currently reflects v_l, so diff from there — commit_sharded already
-    // moved image_ to the merged state.
-    const SyncFolderImage committed = image_;
-    image_ = local;
+    // currently reflects v_l, so diff from there.
+    SyncFolderImage committed = std::move(txn.next);
+    image_ = std::move(local);
     obs::Span apply_span = round_span.child("sync.apply_cloud");
-    auto applied = apply_cloud_image(committed);
+    const Status applied = apply_cloud_image(committed, report);
     apply_span.end();
     if (!applied.is_ok()) {
-      image_ = committed;  // folder lags, but metadata is authoritative
-      report.materialize = applied.status();
+      image_ = std::move(committed);  // folder lags; metadata is authoritative
+      report.materialize = applied;
     } else {
-      const ApplyOutcome& outcome = applied.value();
-      report.files_downloaded += outcome.downloaded;
-      report.files_removed += outcome.removed;
-      report.applied_cloud = outcome.downloaded + outcome.removed > 0;
-      report.dir_failures = outcome.dir_failures;
-      if (!outcome.dir_failures.empty()) {
-        report.materialize = Status(
-            ErrorCode::kUnavailable,
-            "folder materialization incomplete: " +
-                std::to_string(outcome.dir_failures.size()) +
-                " directory operation(s) failed");
-      }
+      report.applied_cloud = report.files_downloaded + report.files_removed > 0;
     }
   } else if (store_.has_cloud_update(image_.version())) {
     // --- cloud update path (Algorithm 1, lines 15-18) ---
     UNI_ASSIGN_OR_RETURN(const metadata::FetchedMetadata fetched,
                          store_.fetch_latest());
     obs::Span apply_span = round_span.child("sync.apply_cloud");
-    UNI_ASSIGN_OR_RETURN(const ApplyOutcome outcome,
-                         apply_cloud_image(fetched.image));
+    UNI_RETURN_IF_ERROR(apply_cloud_image(fetched.image, report));
     apply_span.end();
-    report.files_downloaded = outcome.downloaded;
-    report.files_removed = outcome.removed;
     report.applied_cloud = true;
-    report.dir_failures = outcome.dir_failures;
-    if (!outcome.dir_failures.empty()) {
-      report.materialize = Status(
-          ErrorCode::kUnavailable,
-          "folder materialization incomplete: " +
-              std::to_string(outcome.dir_failures.size()) +
-              " directory operation(s) failed");
-    }
   }
 
   // Reconcile the shared segment pool with the round's final committed
@@ -853,84 +759,68 @@ Result<SyncReport> UniDriveClient::sync() {
 // --- maintenance -------------------------------------------------------------
 
 Status UniDriveClient::cleanup_overprovisioned() {
-  const sched::CodeParams params = code_params();
-  return locked_mutation(
-      [&](SyncFolderImage& next) {
+  const std::size_t fair_share = code_params().fair_share();
+  std::vector<SegmentInfo> surplus;  // per segment, the blocks to delete
+  return commit_fresh(
+      {lock::Scope::root()},
+      [&](const SyncFolderImage& image) {
+        surplus.clear();
         std::vector<Change> changes;
-        for (const auto& [id, seg] : next.segments()) {
+        for (const auto& [id, seg] : image.segments()) {
           std::map<cloud::CloudId, std::size_t> per_cloud;
           SegmentInfo trimmed = seg;
-          std::vector<metadata::BlockLocation> keep;
+          SegmentInfo shed{.id = id, .blocks = {}};
+          trimmed.blocks.clear();
           for (const metadata::BlockLocation& b : seg.blocks) {
-            if (per_cloud[b.cloud] < params.fair_share()) {
-              keep.push_back(b);
-              ++per_cloud[b.cloud];
-            } else {
-              // Surplus: delete the block from the cloud (best effort,
-              // idempotent if the commit below retries).
-              cloud::CloudProvider* provider = find_cloud(b.cloud);
-              if (provider != nullptr) {
-                (void)provider->remove(metadata::block_path(id, b.block_index));
-              }
-            }
+            (per_cloud[b.cloud]++ < fair_share ? trimmed : shed)
+                .blocks.push_back(b);
           }
-          if (keep.size() != seg.blocks.size()) {
-            trimmed.blocks = std::move(keep);
+          if (!shed.blocks.empty()) {
             changes.push_back(Change::upsert_segment(trimmed));
+            surplus.push_back(std::move(shed));
           }
         }
-        for (const Change& c : changes) apply_change(next, c);
         return changes;
       },
-      /*adopt=*/true);
+      [&] {
+        for (const SegmentInfo& s : surplus) remove_blocks(s);
+      });
 }
 
 Result<std::size_t> UniDriveClient::collect_garbage() {
-  std::size_t collected = 0;
-  const Status status = locked_mutation(
-      [&](SyncFolderImage& next) {
-        collected = 0;
+  std::vector<SegmentInfo> dropped;
+  const Status status = commit_fresh(
+      {lock::Scope::root()},
+      [&](const SyncFolderImage& image) {
+        dropped.clear();
         std::vector<Change> changes;
-        for (const std::string& seg_id : next.garbage_segments()) {
-          const SegmentInfo* seg = next.find_segment(seg_id);
-          if (seg == nullptr) continue;
-          // Cross-folder guard: blocks live in a shared content-addressed
-          // namespace, so a segment another folder still references must
-          // keep its physical blocks — we only drop our own record.
-          // try_begin_gc atomically removes the pool entry when nobody else
-          // holds it, so a concurrent probe can no longer hand out the
-          // locations we are about to delete.
-          const bool delete_blocks =
-              config_.pool == nullptr ||
-              config_.pool->try_begin_gc(config_.folder_id, seg_id);
-          if (delete_blocks) {
-            // Blocks first, metadata second: a crash in between leaves a
-            // harmless pool entry pointing at deleted blocks (retried next
-            // GC), never a referenced segment without blocks.
-            for (const metadata::BlockLocation& b : seg->blocks) {
-              cloud::CloudProvider* provider = find_cloud(b.cloud);
-              if (provider != nullptr) {
-                (void)provider->remove(
-                    metadata::block_path(seg_id, b.block_index));
-              }
-            }
-            // Deletes done: lift the tombstone so probes (held off while
-            // the removes were in flight — a racing re-upload of the same
-            // content would land on the exact paths being deleted) can
-            // miss-and-upload safely again.
-            if (config_.pool != nullptr) config_.pool->finish_gc(seg_id);
-          } else {
-            obs::add_counter(obs_.get(), "dedup.gc.shared_keep");
-          }
-          changes.push_back(Change::drop_segment(seg_id));
+        for (const std::string& id : image.garbage_segments()) {
+          dropped.push_back(*image.find_segment(id));
+          changes.push_back(Change::drop_segment(id));
         }
-        collected = changes.size();
-        for (const Change& c : changes) apply_change(next, c);
         return changes;
       },
-      /*adopt=*/true);
+      [&] {
+        // Blocks go only after the flip: until then a device may commit a
+        // file reusing a dropped segment (the scanner reuses any known
+        // one), and the rebuilt commit keeps it.
+        for (const SegmentInfo& seg : dropped) {
+          // Cross-folder guard: blocks live in a shared content-addressed
+          // namespace, so a segment another folder still references keeps
+          // them. The grant comes before image_ stops pinning the pool
+          // entry, and its tombstone holds off probes (which would hand
+          // out, or re-upload to, the paths) until finish_gc.
+          if (config_.pool != nullptr &&
+              !config_.pool->try_begin_gc(config_.folder_id, seg.id)) {
+            obs::add_counter(obs_.get(), "dedup.gc.shared_keep");
+            continue;
+          }
+          remove_blocks(seg);
+          if (config_.pool != nullptr) config_.pool->finish_gc(seg.id);
+        }
+      });
   if (!status.is_ok()) return status;
-  return collected;
+  return dropped.size();
 }
 
 Status UniDriveClient::resolve_conflict(const metadata::ConflictRecord& record,
@@ -1033,32 +923,21 @@ Result<Bytes> UniDriveClient::reconstruct_segment(
 Status UniDriveClient::commit_repaired_placements(
     std::vector<SegmentInfo> repaired) {
   if (repaired.empty()) return Status::ok();
-  bool committed = false;
-  // adopt=false: v_o (image_) deliberately does NOT advance — file changes
-  // committed by other devices since our last sync ride in the fetched
-  // image, and jumping image_ past them would skip their local
-  // materialization. The repair commit arrives through the normal apply
-  // path next round.
-  const Status status = locked_mutation(
-      [&](SyncFolderImage& next) {
+  return commit_fresh(
+      {lock::Scope::root()},
+      [&](const SyncFolderImage& image) {
         std::vector<Change> changes;
         for (const SegmentInfo& seg : repaired) {
-          const SegmentInfo* current = next.find_segment(seg.id);
+          const SegmentInfo* current = image.find_segment(seg.id);
           // Vanished (GC'd) or already identical: repair is moot/duplicate.
           if (current == nullptr || current->blocks == seg.blocks) continue;
           SegmentInfo updated = *current;  // keep commit-side refcount/size
           updated.blocks = seg.blocks;
           changes.push_back(Change::upsert_segment(std::move(updated)));
         }
-        committed = !changes.empty();
-        for (const Change& c : changes) apply_change(next, c);
         return changes;
       },
-      /*adopt=*/false);
-  if (status.is_ok() && committed) {
-    obs::add_counter(obs_.get(), "repair.placement_commits");
-  }
-  return status;
+      [&] { obs::add_counter(obs_.get(), "repair.placement_commits"); });
 }
 
 // Executes a rebalance plan: re-encode + upload moved blocks, delete shed
@@ -1091,132 +970,80 @@ void UniDriveClient::execute_rebalance(const SyncFolderImage& image,
     }
   }
   for (const sched::BlockDeletion& del : plan.deletions) {
-    cloud::CloudProvider* provider = find_cloud(del.cloud);
-    if (provider != nullptr) {
-      (void)provider->remove(
-          metadata::block_path(del.segment_id, del.block_index));
-    }
+    remove_blocks({.id = del.segment_id,
+                   .blocks = {{del.block_index, del.cloud}}});
   }
-}
-
-// After a membership swap: re-lock the world on the NEW membership, splice
-// the rebalanced block map onto the freshest committed state (a writer may
-// have committed in the guard-rebuild window — clobbering its image with
-// our pre-swap copy would lose that update) and flip the root.
-Status UniDriveClient::commit_membership_image(SyncFolderImage next) {
-  UNI_RETURN_IF_ERROR(locks_.acquire_all(all_scopes()));
-
-  metadata::ShardManifest fenced;
-  auto manifest = store_.fetch_manifest();
-  if (manifest.is_ok()) {
-    fenced = std::move(manifest).take();
-  } else if (manifest.code() == ErrorCode::kNotFound) {
-    fenced.num_shards = store_.num_shards();
-  } else {
-    locks_.release_all();
-    return manifest.status();
-  }
-
-  std::vector<Change> changes;
-  for (const auto& [id, seg] : next.segments()) {
-    changes.push_back(Change::upsert_segment(seg));
-  }
-
-  SyncFolderImage base = std::move(next);
-  auto fresh = store_.fetch_latest();
-  if (fresh.is_ok()) {
-    // upsert_segment preserves the fresh image's refcounts, so foreign
-    // file commits from the swap window survive with correct references.
-    base = std::move(fresh).take().image;
-    for (const Change& c : changes) apply_change(base, c);
-  }
-
-  VersionStamp stamp;
-  stamp.device = config_.device;
-  stamp.counter =
-      std::max(fenced.version.counter, base.version().counter) + 1;
-  stamp.timestamp = clock_.now();
-  base.set_version(stamp);
-
-  auto flipped = publish_and_flip(base, changes, fenced, stamp);
-  if (!flipped.is_ok()) {
-    locks_.release_all();
-    return flipped.status();
-  }
-  base.set_version(flipped.value().version);
-  image_ = std::move(base);
-  locks_.release_all();
-  return Status::ok();
 }
 
 Status UniDriveClient::add_cloud(cloud::CloudPtr new_cloud) {
-  // Membership changes rewrite placements across every shard: hold every
-  // scope (stop-the-world) while the rebalance runs.
-  UNI_RETURN_IF_ERROR(locks_.acquire_all(all_scopes()));
-  auto fetched = store_.fetch_latest();
-  SyncFolderImage next = fetched.is_ok() ? fetched.value().image : image_;
-
-  std::vector<cloud::CloudId> all_ids = cloud_ids();
-  all_ids.push_back(new_cloud->id());
-  sched::CodeParams params = code_params();
-  params.num_clouds = all_ids.size();
-  const Status valid = params.validate();
-  if (!valid.is_ok()) {
-    locks_.release_all();
-    return valid;
-  }
-
-  const sched::RebalancePlan plan =
-      sched::plan_add_cloud(next, new_cloud->id(), all_ids, params);
-  // The joining cloud gets the same stack as enrolled ones for the
-  // rebalance uploads.
-  cloud::BlockingCloud added_guard(
-      cloud::guard_clouds({new_cloud}, config_.retry, health_, rng_,
-                          async_context())
-          .front());
-  execute_rebalance(next, plan, codec_for(params), &added_guard);
-  sched::apply_rebalance(next, plan);
-
-  locks_.release_all();  // release on the OLD membership before rebuilding
-  clouds_.push_back(std::move(new_cloud));
-  rebuild_guards();
-  return commit_membership_image(std::move(next));
+  return change_membership(std::move(new_cloud), 0);
 }
 
 Status UniDriveClient::remove_cloud(cloud::CloudId removed) {
-  UNI_RETURN_IF_ERROR(locks_.acquire_all(all_scopes()));
-  auto fetched = store_.fetch_latest();
-  SyncFolderImage next = fetched.is_ok() ? fetched.value().image : image_;
+  return change_membership(nullptr, removed);
+}
 
-  std::vector<cloud::CloudId> survivors;
+Status UniDriveClient::change_membership(cloud::CloudPtr added,
+                                         cloud::CloudId removed) {
+  std::vector<cloud::CloudId> ids;
   for (const cloud::CloudPtr& c : clouds_) {
-    if (c->id() != removed) survivors.push_back(c->id());
+    if (added != nullptr || c->id() != removed) ids.push_back(c->id());
   }
-  if (survivors.size() == clouds_.size()) {
-    locks_.release_all();
+  if (added != nullptr) {
+    ids.push_back(added->id());
+  } else if (ids.size() == clouds_.size()) {
     return make_error(ErrorCode::kInvalidArgument, "cloud not enrolled");
   }
   sched::CodeParams params = code_params();
-  params.num_clouds = survivors.size();
-  const Status valid = params.validate();
-  if (!valid.is_ok()) {
-    locks_.release_all();
-    return valid;
+  params.num_clouds = ids.size();
+  UNI_RETURN_IF_ERROR(params.validate());
+
+  std::vector<SegmentInfo> placed;  // the rebalanced block map
+  {
+    // Membership changes rewrite placements across every shard: hold every
+    // scope of the OLD membership while the rebalance moves blocks. Its
+    // deletions must reach a removed cloud before the guards drop it.
+    lock::LockManager::Hold hold(locks_);
+    UNI_RETURN_IF_ERROR(hold.acquire(all_scopes()));
+    auto fetched = store_.fetch_latest();
+    SyncFolderImage image =
+        fetched.is_ok() ? std::move(fetched).take().image : image_;
+    const sched::RebalancePlan plan =
+        added != nullptr
+            ? sched::plan_add_cloud(image, added->id(), ids, params)
+            : sched::plan_remove_cloud(image, removed, ids, params);
+    // The joining cloud gets the same stack as enrolled ones for the
+    // rebalance uploads.
+    const cloud::CloudPtr added_guard =
+        added == nullptr
+            ? nullptr
+            : blocking_facades(cloud::guard_clouds({added}, config_.retry,
+                                                   health_, rng_,
+                                                   async_context()))
+                  .front();
+    execute_rebalance(image, plan, codec_for(params), added_guard.get());
+    sched::apply_rebalance(image, plan);
+    for (const auto& [id, seg] : image.segments()) placed.push_back(seg);
   }
 
-  const sched::RebalancePlan plan =
-      sched::plan_remove_cloud(next, removed, survivors, params);
-  execute_rebalance(next, plan, codec_for(params), nullptr);
-  sched::apply_rebalance(next, plan);
-
-  locks_.release_all();  // release on the OLD membership before rebuilding
-  clouds_.erase(std::remove_if(clouds_.begin(), clouds_.end(),
-                               [&](const cloud::CloudPtr& c) {
-                                 return c->id() == removed;
-                               }),
-                clouds_.end());
+  std::erase_if(clouds_, [&](const cloud::CloudPtr& c) {
+    return std::find(ids.begin(), ids.end(), c->id()) == ids.end();
+  });
+  if (added != nullptr) clouds_.push_back(std::move(added));
   rebuild_guards();
-  return commit_membership_image(std::move(next));
+  // Splice the rebalanced block map onto the freshest committed state
+  // under every scope of the NEW membership: a writer may have committed
+  // in the guard-rebuild window, and upsert_segment keeps its references.
+  return commit_fresh(all_scopes(),
+                      [&](const SyncFolderImage& image) {
+                        std::vector<Change> changes;
+                        for (const SegmentInfo& seg : placed) {
+                          if (image.find_segment(seg.id) != nullptr) {
+                            changes.push_back(Change::upsert_segment(seg));
+                          }
+                        }
+                        return changes;
+                      });
 }
 
 }  // namespace unidrive::core

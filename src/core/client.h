@@ -4,17 +4,20 @@
 //
 //   if local changes exist:
 //       upload new data blocks (data plane, over-provisioned scheduling)
-//       acquire quorum lock
+//       acquire the dirty shards' quorum locks
 //       if cloud update pending: fetch, 3-way merge (conflicts keep both)
-//       commit metadata (delta-sync: delta-only unless it outgrew lambda)
-//       release lock
+//       stage the shard deltas, take the root lock, flip the manifest
+//       release the locks
 //   else if cloud update pending:
 //       fetch metadata, download needed blocks, apply to the local folder
 //
 // Content data and metadata are deliberately decoupled: blocks are immutable
 // and uploaded before the metadata that references them is committed, so
 // concurrent uploaders never corrupt each other — the lock serializes only
-// the (small) metadata commit.
+// the (small) metadata commit. Every metadata commit (sync, cleanup, GC,
+// repair, add/remove cloud) is one transaction through the same
+// lock → fence → stage → flip loop (commit()); block deletions run only
+// after the flip that stops referencing them.
 #pragma once
 
 #include <functional>
@@ -149,14 +152,14 @@ class UniDriveClient {
   // Cheap cloud-update probe (the version-file check, period tau).
   [[nodiscard]] bool cloud_update_pending();
 
-  // Deletes over-provisioned blocks beyond every cloud's fair share and
-  // commits the trimmed block map (run after all devices synced a file).
+  // Commits the block map trimmed to every cloud's fair share, then deletes
+  // the over-provisioned blocks (run after all devices synced a file).
   Status cleanup_overprovisioned();
 
-  // Deletes the cloud blocks of segments no snapshot references any more
-  // (dereferenced by edits falling off the history, deletions, or conflict
-  // resolution) and drops them from the pool. Returns the number of
-  // segments collected.
+  // Drops the segments no snapshot references any more (dereferenced by
+  // edits falling off the history, deletions, or conflict resolution) from
+  // the pool and, after that commit's flip, deletes their cloud blocks.
+  // Returns the number of segments collected.
   Result<std::size_t> collect_garbage();
 
   // Rolls a file back to its most recent superseded snapshot (the paper
@@ -180,7 +183,8 @@ class UniDriveClient {
                           ConflictChoice choice);
 
   // Multi-cloud membership changes (Section 6.2). Both re-plan placement,
-  // execute the moves/deletions, and commit updated metadata.
+  // execute the moves/deletions, and commit the new block map; they differ
+  // only in the plan and the new cloud list.
   Status add_cloud(cloud::CloudPtr new_cloud);
   Status remove_cloud(cloud::CloudId cloud);
 
@@ -229,10 +233,9 @@ class UniDriveClient {
   Result<Bytes> reconstruct_segment(
       const std::string& segment_id,
       const std::vector<metadata::BlockLocation>& exclude);
-  // Commits repaired block placements under the quorum lock (fetch-latest,
-  // re-validate each segment against the freshest image, upsert, commit).
-  // v_o (image_) is deliberately NOT advanced: the repair commit reaches
-  // the local folder through the normal apply path next round, so file
+  // Commits repaired block placements (re-validating each segment against
+  // the freshest committed image) as a maintenance transaction. Like every
+  // maintenance commit it advances v_o only when v_o was its basis, so file
   // changes committed by other devices in between are never skipped.
   Status commit_repaired_placements(
       std::vector<metadata::SegmentInfo> repaired);
@@ -279,62 +282,65 @@ class UniDriveClient {
                          cloud::CloudProvider* added);
 
   // Applies the difference between image_ and `target` to the local folder
-  // (downloads, deletions); updates image_ on success. Directory
-  // create/remove failures do not abort the apply (files are still
-  // materialized) but are reported in `dir_failures` so sync() can surface
-  // an incomplete materialization instead of silently dropping them.
-  struct ApplyOutcome {
-    std::size_t downloaded = 0;
-    std::size_t removed = 0;
-    std::vector<std::string> dir_failures;
+  // (downloads, deletions); on success updates image_ and counts the apply
+  // into `report`. Directory create/remove failures do not abort the apply
+  // (files are still materialized) but land in report.dir_failures and
+  // report.materialize instead of being silently dropped.
+  Status apply_cloud_image(const metadata::SyncFolderImage& target,
+                           SyncReport& report);
+
+  // One metadata commit transaction (DESIGN.md §11b): `next` is the image
+  // to publish and `changes` its difference from the committed version
+  // `basis`. Every commit of the client runs through commit().
+  struct CommitTxn {
+    metadata::SyncFolderImage next;
+    std::vector<metadata::Change> changes;
+    metadata::VersionStamp basis;
+    // Held from the first acquire besides the dirty shards: none for sync
+    // (root only for the flip), root for maintenance, all for membership.
+    std::vector<lock::Scope> scopes;
+    // Re-derives next/changes from `fresh`, the committed image the fence
+    // moved to. Empty changes end the transaction without a commit.
+    std::function<void(metadata::SyncFolderImage fresh, CommitTxn&)> rebuild;
   };
-  Result<ApplyOutcome> apply_cloud_image(
-      const metadata::SyncFolderImage& target);
 
-  // The sharded commit path for sync(): locks only the dirty shard scopes,
-  // merges against the cloud state when behind, stages one delta (or folded
-  // base) per dirty shard and flips the root manifest atomically. Retries
-  // from fresh state on fence conflicts. On success image_ holds the
-  // committed image.
-  Status commit_sharded(const metadata::SyncFolderImage& local,
-                        std::vector<metadata::Change> changes,
-                        SyncReport* report);
+  // The commit loop: lock the scopes → read the fenced manifest → rebuild
+  // if the basis moved (re-locking when the rebuilt changes need scopes not
+  // held) → stamp, stage the dirty shards → take root, flip, release →
+  // absorb foreign shards. On success txn.next is the committed image (or
+  // the rebuilt one, when nothing was left to commit).
+  Status commit(CommitTxn& txn);
 
-  // Stages `changes` (already applied to `next`) against the `fenced`
-  // manifest and flips the root. All required scopes must already be held.
-  // Returns the committed manifest.
-  Result<metadata::ShardManifest> publish_and_flip(
-      const metadata::SyncFolderImage& next,
-      const std::vector<metadata::Change>& changes,
-      const metadata::ShardManifest& fenced,
-      const metadata::VersionStamp& stamp);
+  // Cleanup, GC, repair and membership: a transaction holding `scopes`
+  // whose changes `plan` derives from the freshest committed image (and
+  // re-derives on a rebuild). After the flip: `after_flip`, then image_
+  // (v_o) moves to the commit if v_o was its basis; otherwise only the
+  // commit's own changes fold in, so foreign ones still get applied.
+  using PlanFn = std::function<std::vector<metadata::Change>(
+      const metadata::SyncFolderImage&)>;
+  Status commit_fresh(std::vector<lock::Scope> scopes, const PlanFn& plan,
+                      const std::function<void()>& after_flip = {});
 
-  // Fetch-latest → mutate → lock dirty scopes (+ root) → freshness check →
-  // publish+flip retry loop shared by the maintenance commits (cleanup, GC,
-  // repair). `adopt` advances image_ (v_o) to the committed state; repair
-  // passes false so foreign file changes still reach the apply path.
-  Status locked_mutation(
-      const std::function<std::vector<metadata::Change>(
-          metadata::SyncFolderImage&)>& mutate,
-      bool adopt);
+  // Deletes the segment's listed blocks from their clouds (best effort).
+  void remove_blocks(const metadata::SegmentInfo& segment);
 
   // Folds shards that advanced between `fenced` and `committed` by foreign
-  // writers into `next` (our shards in `own` are kept as-is). Falls back to
-  // advertising the fenced version on fetch failure so the next round
-  // reconciles through the normal cloud-update path.
+  // writers into `next` (our staged shards in `own` are kept as-is). Falls
+  // back to advertising the fenced version on fetch failure so the next
+  // round reconciles through the normal cloud-update path.
   void absorb_foreign_shards(metadata::SyncFolderImage& next,
                              const metadata::ShardManifest& fenced,
                              const metadata::ShardManifest& committed,
-                             const std::vector<metadata::ShardId>& own);
+                             const std::vector<metadata::ShardEntry>& own);
 
   // Every shard scope plus root — the stop-the-world set membership changes
   // take while they rewrite placements across the whole image.
   [[nodiscard]] std::vector<lock::Scope> all_scopes() const;
 
-  // Commits the rebalanced image after a membership swap: re-locks all
-  // scopes on the new membership, splices the block map onto the freshest
-  // committed state and flips the root.
-  Status commit_membership_image(metadata::SyncFolderImage next);
+  // add_cloud (`added` non-null) / remove_cloud: rebalances under every
+  // scope of the old membership, swaps the cloud stacks, then commits the
+  // new block map on the new membership.
+  Status change_membership(cloud::CloudPtr added, cloud::CloudId removed);
 
   [[nodiscard]] std::vector<cloud::CloudId> cloud_ids() const;
   // Resolves to the BlockingCloud facade over the cloud's stack — all I/O

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,34 @@ class LockManager {
   void release_all();
 
   [[nodiscard]] bool held(const Scope& scope) const;
+
+  // The scopes one commit transaction holds. Every scope acquired through
+  // it is released when it goes out of scope (or on release()), root first
+  // and then shards descending, so no error path can leak a scope.
+  class Hold {
+   public:
+    explicit Hold(LockManager& manager) : manager_(&manager) {}
+    Hold(const Hold&) = delete;
+    Hold& operator=(const Hold&) = delete;
+    ~Hold() { release(); }
+
+    // acquire_all() on top of the scopes already held.
+    Status acquire(std::vector<Scope> scopes) {
+      UNI_RETURN_IF_ERROR(manager_->acquire_all(scopes));
+      scopes_.insert(scopes.begin(), scopes.end());
+      return Status::ok();
+    }
+    void release() {
+      for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
+        manager_->release(*it);
+      }
+      scopes_.clear();
+    }
+
+   private:
+    LockManager* manager_;
+    std::set<Scope> scopes_;
+  };
 
  private:
   QuorumLock& lock_for(const Scope& scope);

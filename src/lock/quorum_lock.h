@@ -40,8 +40,10 @@ using ::unidrive::SleepFn;
 
 struct LockConfig {
   std::string lock_dir = "/lock";
-  Duration stale_after = 120.0;      // dT: break locks seen for this long
-  Duration refresh_interval = 30.0;  // holder re-stamps its lock this often
+  // dT: other clients break a lock file they have seen for this long. A
+  // holder that needs a scope longer must refresh() within it; the client
+  // holds a scope only for the length of one commit transaction.
+  Duration stale_after = 120.0;
   // Contention backoff between acquisition rounds reuses the unified retry
   // policy: max_attempts rounds, decorrelated-jitter pauses in
   // [backoff_base, backoff_cap], and an optional total_deadline budget on
@@ -67,8 +69,9 @@ class QuorumLock {
   Status acquire();
 
   // Re-stamps the lock files (new timestamped names) so other clients'
-  // first-seen timers restart. Call at least every `stale_after` while
-  // holding. Fails if the majority was lost (e.g. our files were broken).
+  // first-seen timers restart. A holder must call it within `stale_after`
+  // of acquiring (and of each refresh) to keep the lock. Fails if the
+  // majority was lost (e.g. our files were broken).
   Status refresh();
 
   // Deletes this device's lock files everywhere. Idempotent.

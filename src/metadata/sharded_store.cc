@@ -68,7 +68,7 @@ Result<ShardManifest> ShardedMetaStore::fetch_manifest() {
   return manifest;
 }
 
-Result<SyncFolderImage> ShardedMetaStore::load_shard(const ShardEntry& entry) {
+Result<SyncFolderImage> ShardedMetaStore::fetch_shard(const ShardEntry& entry) {
   const auto cached = cache_.find(entry.id);
   if (cached != cache_.end() && cached->second.entry == entry) {
     obs::add_counter(obs_.get(), "meta.shard.fetch.short_circuit");
@@ -110,15 +110,8 @@ Result<SyncFolderImage> ShardedMetaStore::load_shard(const ShardEntry& entry) {
                           image.version().to_string() + " short of " +
                           entry.version.to_string());
   }
-  if (config_.cache) {
-    cache_[entry.id] = CachedShard{entry, image};
-  }
+  cache_[entry.id] = CachedShard{entry, image};
   return image;
-}
-
-Result<SyncFolderImage> ShardedMetaStore::fetch_shard(
-    const ShardEntry& entry) {
-  return load_shard(entry);
 }
 
 Result<FetchedMetadata> ShardedMetaStore::fetch_latest() {
@@ -190,13 +183,12 @@ Result<ShardEntry> ShardedMetaStore::publish_shard(
     // this commit's slice onto the cached reconstruction when it matches
     // the fenced entry, otherwise just invalidate.
     const auto cached = cache_.find(id);
-    if (config_.cache && cached != cache_.end() && current != nullptr &&
+    if (cached != cache_.end() && current != nullptr &&
         cached->second.entry == *current) {
       for (const Change& c : changes) apply_change(cached->second.image, c);
       cached->second.image.set_version(stamp);
       cached->second.entry = next;
-    } else if (config_.cache && cached == cache_.end() &&
-               current == nullptr) {
+    } else if (cached == cache_.end() && current == nullptr) {
       // Brand-new shard: its whole state IS this commit's slice.
       SyncFolderImage fresh;
       for (const Change& c : changes) apply_change(fresh, c);
@@ -235,11 +227,7 @@ Result<ShardEntry> ShardedMetaStore::publish_shard(
   next.deltas.clear();
   UNI_RETURN_IF_ERROR(kv_.put(next.base_key, ByteSpan(base_bytes)));
   obs::add_counter(obs_.get(), "meta.shard.compactions");
-  if (config_.cache) {
-    cache_[id] = CachedShard{next, std::move(folded)};
-  } else {
-    cache_.erase(id);
-  }
+  cache_[id] = CachedShard{next, std::move(folded)};
   return next;
 }
 

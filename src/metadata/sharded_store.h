@@ -23,7 +23,9 @@
 // Reads: fetch_manifest() is O(1) in folder size; fetch_shard() replays one
 // shard's base+deltas, served incrementally from a per-shard cache (a
 // re-fetch at an unchanged shard version is free; a shard that advanced by
-// k deltas replays exactly k). fetch_latest() assembles the full image only
+// k deltas replays exactly k). The cache holds each shard's last
+// reconstruction, so a reader that touches every shard keeps O(folder)
+// resident. fetch_latest() assembles the full image only
 // for callers that genuinely need all shards.
 //
 // Write-to-majority / read-from-all is inherited from KvStore for every
@@ -52,11 +54,6 @@ struct ShardConfig {
   // objects, regardless of byte-size λ — bounds replay depth (and the
   // first-seen window for pruned-object retries).
   std::size_t max_delta_objects = 32;
-  // Per-shard fetch cache: remembers each shard's last reconstruction and
-  // replays only the delta suffix on re-fetch. Costs O(folder) resident
-  // memory on readers that touch every shard; population-scale simulations
-  // with many idle clients may turn it off.
-  bool cache = true;
 };
 
 class ShardedMetaStore {
@@ -127,8 +124,6 @@ class ShardedMetaStore {
 
  private:
   Result<ShardManifest> decode_manifest(const std::string& key);
-  // Shard state WITHOUT consulting the cache beyond incremental replay.
-  Result<SyncFolderImage> load_shard(const ShardEntry& entry);
   // Best-effort removal of objects superseded by a committed fold, plus
   // manifest objects older than the previous generation.
   void prune_superseded(const std::vector<ShardEntry>& dirty,

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "cloud/faulty_cloud.h"
@@ -12,6 +14,7 @@
 #include "core/client.h"
 #include "core/sync_daemon.h"
 #include "core/local_fs.h"
+#include "metadata/shard.h"
 
 namespace unidrive::core {
 namespace {
@@ -659,6 +662,339 @@ TEST_F(ClientTest, VersionCounterMonotone) {
     EXPECT_GT(report.value().version.counter, last);
     last = report.value().version.counter;
   }
+}
+
+// --- commit transaction races ----------------------------------------------------
+//
+// Each case lands a foreign device's commit at an exact RPC of another
+// device's commit transaction: a provider hook runs the foreign sync right
+// before the first matching upload reaches the cloud.
+
+// An in-memory cloud that logs upload paths and runs a one-shot hook before
+// forwarding the first upload its armed predicate accepts.
+class HookCloud final : public cloud::CloudProvider {
+ public:
+  explicit HookCloud(cloud::CloudId id)
+      : inner_(std::make_shared<cloud::MemoryCloud>(
+            id, "cloud" + std::to_string(id))) {}
+
+  // `match` is called under the cloud's mutex, once per upload, until it
+  // accepts one.
+  void arm(std::function<bool(const std::string&)> match,
+           std::function<void()> hook) {
+    std::lock_guard<std::mutex> guard(mu_);
+    match_ = std::move(match);
+    hook_ = std::move(hook);
+  }
+  [[nodiscard]] bool fired() const {
+    std::lock_guard<std::mutex> guard(mu_);
+    return fired_;
+  }
+  [[nodiscard]] std::vector<std::string> uploads() const {
+    std::lock_guard<std::mutex> guard(mu_);
+    return uploads_;
+  }
+
+  [[nodiscard]] cloud::CloudId id() const noexcept override {
+    return inner_->id();
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  Status upload(const std::string& path, ByteSpan data) override {
+    std::function<void()> hook;
+    {
+      std::lock_guard<std::mutex> guard(mu_);
+      uploads_.push_back(path);
+      if (hook_ && match_(path)) {
+        hook = std::move(hook_);
+        hook_ = nullptr;
+        fired_ = true;
+      }
+    }
+    if (hook) hook();
+    return inner_->upload(path, data);
+  }
+  Result<Bytes> download(const std::string& path) override {
+    return inner_->download(path);
+  }
+  Status create_dir(const std::string& path) override {
+    return inner_->create_dir(path);
+  }
+  Result<std::vector<cloud::FileInfo>> list(const std::string& dir) override {
+    return inner_->list(dir);
+  }
+  Status remove(const std::string& path) override {
+    return inner_->remove(path);
+  }
+
+ private:
+  std::shared_ptr<cloud::MemoryCloud> inner_;
+  mutable std::mutex mu_;
+  std::function<bool(const std::string&)> match_;
+  std::function<void()> hook_;
+  bool fired_ = false;
+  std::vector<std::string> uploads_;
+};
+
+bool is_lock_of(const std::string& path, const std::string& device) {
+  return path.rfind("/lock/", 0) == 0 &&
+         path.find("/lock_" + device + "_") != std::string::npos;
+}
+
+class CommitRaceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (cloud::CloudId i = 0; i < 5; ++i) {
+      hooks_.push_back(std::make_shared<HookCloud>(i));
+      clouds_.push_back(hooks_.back());
+    }
+  }
+
+  std::unique_ptr<UniDriveClient> make_client(const std::string& device,
+                                              std::shared_ptr<LocalFs> fs) {
+    return std::make_unique<UniDriveClient>(clouds_, std::move(fs),
+                                            test_config(device));
+  }
+
+  // Every scope is released: no lock file of `device` is left in the root
+  // lock dir or any shard scope's dir, on any cloud.
+  void expect_no_locks_of(const std::string& device) {
+    const std::uint32_t shards = metadata::ShardConfig{}.num_shards;
+    for (const cloud::CloudPtr& c : clouds_) {
+      std::vector<std::string> dirs{"/lock"};
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        dirs.push_back("/lock/s" + std::to_string(s));
+      }
+      for (const std::string& dir : dirs) {
+        auto listing = c->list(dir);
+        if (!listing.is_ok()) continue;
+        for (const cloud::FileInfo& f : listing.value()) {
+          EXPECT_NE(f.name.rfind("lock_" + device + "_", 0), 0u)
+              << device << " left " << dir << "/" << f.name << " on "
+              << c->name();
+        }
+      }
+    }
+  }
+
+  std::vector<std::shared_ptr<HookCloud>> hooks_;
+  cloud::MultiCloud clouds_;
+};
+
+TEST_F(CommitRaceTest, GarbageCollectionKeepsBlocksOfSegmentReusedMidCommit) {
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto fs_b = std::make_shared<MemoryLocalFs>();
+  auto a = make_client("devA", fs_a);
+  auto b = make_client("devB", fs_b);
+  Rng rng(94);
+  const Bytes content = rng.bytes(80000);
+  ASSERT_TRUE(fs_a->write("/junk", ByteSpan(content)).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  ASSERT_TRUE(b->sync().is_ok());
+  // The deletion leaves the content's segments unreferenced (GC's
+  // candidates) but still known to both devices' images.
+  ASSERT_TRUE(fs_a->remove("/junk").is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  ASSERT_TRUE(b->sync().is_ok());
+  ASSERT_FALSE(a->image().garbage_segments().empty());
+
+  // While GC takes its first lock, B commits a file with the same content:
+  // its scanner reuses the known segments and uploads nothing.
+  Status b_sync = make_error(ErrorCode::kInternal, "hook never ran");
+  hooks_[0]->arm([](const std::string& p) { return is_lock_of(p, "devA"); },
+                 [&] {
+                   (void)fs_b->write("/copy", ByteSpan(content));
+                   auto report = b->sync();
+                   b_sync = report.is_ok() ? Status::ok() : report.status();
+                 });
+  auto collected = a->collect_garbage();
+  ASSERT_TRUE(hooks_[0]->fired());
+  ASSERT_TRUE(b_sync.is_ok()) << b_sync.to_string();
+  ASSERT_TRUE(collected.is_ok()) << collected.status().to_string();
+  EXPECT_EQ(collected.value(), 0u);  // the rebuilt commit keeps them all
+
+  // A fresh device restores the new file byte for byte.
+  auto fs_c = std::make_shared<MemoryLocalFs>();
+  auto c = make_client("devC", fs_c);
+  auto restored = c->sync();
+  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+  ASSERT_TRUE(restored.value().materialize.is_ok())
+      << restored.value().materialize.to_string();
+  ASSERT_TRUE(fs_c->read("/copy").is_ok());
+  EXPECT_EQ(fs_c->read("/copy").value(), content);
+  ASSERT_TRUE(a->sync().is_ok());
+  EXPECT_EQ(fs_a->read("/copy").value(), content);
+  expect_no_locks_of("devA");
+  expect_no_locks_of("devB");
+}
+
+TEST_F(CommitRaceTest, MaintenanceRebuildsWhenMetadataMovedWhileLocking) {
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto fs_b = std::make_shared<MemoryLocalFs>();
+  auto a = make_client("devA", fs_a);
+  auto b = make_client("devB", fs_b);
+  Rng rng(95);
+  const Bytes keep = rng.bytes(30000);
+  const Bytes fresh = rng.bytes(30000);
+  ASSERT_TRUE(fs_a->write("/keep", ByteSpan(keep)).is_ok());
+  ASSERT_TRUE(fs_a->write("/junk", ByteSpan(rng.bytes(30000))).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  ASSERT_TRUE(b->sync().is_ok());
+  ASSERT_TRUE(fs_a->remove("/junk").is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+
+  // B commits an unrelated new file while GC takes its first lock: the
+  // fence shows the basis moved and GC re-plans on the fresh image.
+  Status b_sync = make_error(ErrorCode::kInternal, "hook never ran");
+  hooks_[0]->arm([](const std::string& p) { return is_lock_of(p, "devA"); },
+                 [&] {
+                   (void)fs_b->write("/docs/new", ByteSpan(fresh));
+                   auto report = b->sync();
+                   b_sync = report.is_ok() ? Status::ok() : report.status();
+                 });
+  auto collected = a->collect_garbage();
+  ASSERT_TRUE(hooks_[0]->fired());
+  ASSERT_TRUE(b_sync.is_ok()) << b_sync.to_string();
+  ASSERT_TRUE(collected.is_ok()) << collected.status().to_string();
+  EXPECT_GE(collected.value(), 1u);
+  // v_o did not jump past B's commit: A still has to apply it.
+  EXPECT_TRUE(a->cloud_update_pending());
+
+  // No lost update: both devices converge on both files.
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(a->sync().is_ok());
+    ASSERT_TRUE(b->sync().is_ok());
+  }
+  for (const auto& fs : {fs_a, fs_b}) {
+    ASSERT_TRUE(fs->read("/docs/new").is_ok());
+    EXPECT_EQ(fs->read("/docs/new").value(), fresh);
+    EXPECT_EQ(fs->read("/keep").value(), keep);
+  }
+  EXPECT_TRUE(a->image().garbage_segments().empty());
+  expect_no_locks_of("devA");
+  expect_no_locks_of("devB");
+}
+
+TEST_F(CommitRaceTest, SyncRelocksWhenMergeWidensTheDirtyShardSet) {
+  // A top-level file whose conflict copy routes to a different shard.
+  const std::uint32_t shards = metadata::ShardConfig{}.num_shards;
+  std::string path;
+  for (char c = 'a'; c <= 'z' && path.empty(); ++c) {
+    const std::string candidate = std::string("/") + c;
+    if (metadata::shard_of_path(candidate, shards) !=
+        metadata::shard_of_path(candidate + ".conflict-devA", shards)) {
+      path = candidate;
+    }
+  }
+  ASSERT_FALSE(path.empty());
+  const std::string copy = path + ".conflict-devA";
+  const std::string copy_scope =
+      "/lock/s" + std::to_string(metadata::shard_of_path(copy, shards)) + "/";
+
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto fs_b = std::make_shared<MemoryLocalFs>();
+  auto a = make_client("devA", fs_a);
+  auto b = make_client("devB", fs_b);
+  Rng rng(96);
+  const Bytes other = rng.bytes(20000);
+  const Bytes theirs = rng.bytes(20000);
+  ASSERT_TRUE(fs_a->write(path, ByteSpan(rng.bytes(20000))).is_ok());
+  ASSERT_TRUE(fs_a->write("/other", ByteSpan(other)).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  ASSERT_TRUE(b->sync().is_ok());
+
+  // A's edit reuses /other's segments, so it dirties only the file's shard.
+  // B's concurrent edit of the same file lands while A takes that shard.
+  ASSERT_TRUE(fs_a->write(path, ByteSpan(other)).is_ok());
+  Status b_sync = make_error(ErrorCode::kInternal, "hook never ran");
+  hooks_[0]->arm([](const std::string& p) { return is_lock_of(p, "devA"); },
+                 [&] {
+                   (void)fs_b->write(path, ByteSpan(theirs));
+                   auto report = b->sync();
+                   b_sync = report.is_ok() ? Status::ok() : report.status();
+                 });
+  auto report = a->sync();
+  ASSERT_TRUE(hooks_[0]->fired());
+  ASSERT_TRUE(b_sync.is_ok()) << b_sync.to_string();
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  ASSERT_EQ(report.value().conflicts.size(), 1u);
+  EXPECT_EQ(report.value().conflicts.front().conflict_copy, copy);
+  // The merge's conflict copy needed a shard A did not hold: A re-locked.
+  const std::vector<std::string> uploads = hooks_[0]->uploads();
+  EXPECT_TRUE(std::any_of(uploads.begin(), uploads.end(),
+                          [&](const std::string& p) {
+                            return p.rfind(copy_scope, 0) == 0 &&
+                                   is_lock_of(p, "devA");
+                          }));
+
+  // No lost update: the cloud version stands, A's edit survives as the
+  // copy, on both devices.
+  ASSERT_TRUE(b->sync().is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  for (const auto& fs : {fs_a, fs_b}) {
+    ASSERT_TRUE(fs->read(path).is_ok());
+    EXPECT_EQ(fs->read(path).value(), theirs);
+    ASSERT_TRUE(fs->read(copy).is_ok());
+    EXPECT_EQ(fs->read(copy).value(), other);
+    EXPECT_EQ(fs->read("/other").value(), other);
+  }
+  expect_no_locks_of("devA");
+  expect_no_locks_of("devB");
+}
+
+TEST_F(CommitRaceTest, MembershipSplicesForeignCommitFromGuardRebuildWindow) {
+  auto fs_a = std::make_shared<MemoryLocalFs>();
+  auto fs_b = std::make_shared<MemoryLocalFs>();
+  auto a = make_client("devA", fs_a);
+  auto b = make_client("devB", fs_b);
+  Rng rng(97);
+  const Bytes mine = rng.bytes(120000);
+  const Bytes theirs = rng.bytes(40000);
+  ASSERT_TRUE(fs_a->write("/mine", ByteSpan(mine)).is_ok());
+  ASSERT_TRUE(a->sync().is_ok());
+  ASSERT_TRUE(b->sync().is_ok());
+
+  // remove_cloud holds every scope of the old membership (root last) while
+  // it rebalances, then re-locks on the new one. B commits in between: the
+  // hook fires on A's first lock upload after its old-membership root lock.
+  Status b_sync = make_error(ErrorCode::kInternal, "hook never ran");
+  hooks_[0]->arm(
+      [root_seen = false](const std::string& p) mutable {
+        if (!is_lock_of(p, "devA")) return false;
+        if (p.rfind('/') == std::string("/lock").size()) {
+          root_seen = true;
+          return false;
+        }
+        return root_seen;
+      },
+      [&] {
+        (void)fs_b->write("/theirs", ByteSpan(theirs));
+        auto report = b->sync();
+        b_sync = report.is_ok() ? Status::ok() : report.status();
+      });
+  ASSERT_TRUE(a->remove_cloud(4).is_ok());
+  ASSERT_TRUE(hooks_[0]->fired());
+  ASSERT_TRUE(b_sync.is_ok()) << b_sync.to_string();
+  EXPECT_EQ(a->clouds().size(), 4u);
+
+  // No lost update: both devices end with both files, and a fresh device on
+  // the new membership restores them byte for byte.
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(a->sync().is_ok());
+    ASSERT_TRUE(b->sync().is_ok());
+  }
+  for (const auto& fs : {fs_a, fs_b}) {
+    ASSERT_TRUE(fs->read("/theirs").is_ok());
+    EXPECT_EQ(fs->read("/theirs").value(), theirs);
+    EXPECT_EQ(fs->read("/mine").value(), mine);
+  }
+  auto fs_c = std::make_shared<MemoryLocalFs>();
+  UniDriveClient c(a->clouds(), fs_c, test_config("devC"));
+  auto restored = c.sync();
+  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+  EXPECT_EQ(fs_c->read("/mine").value(), mine);
+  EXPECT_EQ(fs_c->read("/theirs").value(), theirs);
+  expect_no_locks_of("devA");
+  expect_no_locks_of("devB");
 }
 
 }  // namespace

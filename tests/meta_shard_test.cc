@@ -844,6 +844,32 @@ TEST(LockManagerTest, AcquireAllDedupsScopes) {
   EXPECT_FALSE(m.held(Scope::of_shard(1)));
 }
 
+TEST(LockManagerTest, HoldReleasesItsScopesOnDestruction) {
+  auto clouds = make_clouds(3);
+  ManualClock clock;
+  LockManager m(clouds, "devA", fast_config(), clock, Rng(1),
+                clock_sleep(clock));
+  ASSERT_TRUE(m.acquire(Scope::of_shard(5)).is_ok());  // outside any hold
+  {
+    LockManager::Hold hold(m);
+    ASSERT_TRUE(hold.acquire({Scope::of_shard(2)}).is_ok());
+    ASSERT_TRUE(hold.acquire({Scope::root()}).is_ok());
+    EXPECT_TRUE(m.held(Scope::of_shard(2)));
+    EXPECT_TRUE(m.held(Scope::root()));
+  }
+  // The hold's scopes are gone from every cloud; the one taken outside it
+  // is still held.
+  EXPECT_FALSE(m.held(Scope::of_shard(2)));
+  EXPECT_FALSE(m.held(Scope::root()));
+  EXPECT_TRUE(m.held(Scope::of_shard(5)));
+  for (const auto& c : clouds) {
+    EXPECT_TRUE(c->list("/lock").value().empty());
+    EXPECT_TRUE(c->list("/lock/s2").value().empty());
+    EXPECT_EQ(c->list("/lock/s5").value().size(), 1u);
+  }
+  m.release_all();
+}
+
 }  // namespace
 }  // namespace unidrive::lock
 
