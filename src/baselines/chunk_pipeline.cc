@@ -1,8 +1,21 @@
 #include "baselines/chunk_pipeline.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace unidrive::baselines {
+
+ChunkPipeline::ChunkPipeline(
+    sim::SimEnv& env, bool download,
+    const std::map<sim::SimCloud*, std::size_t>& connections,
+    RetryPolicy retry)
+    : env_(env), download_(download), retry_(retry) {
+  for (const auto& [cloud, n] : connections) {
+    const bool fresh = free_slots_.emplace(cloud->id(), Slots{cloud, n}).second;
+    assert(fresh && "cloud ids of one pipeline must be distinct");
+    (void)fresh;
+  }
+}
 
 void ChunkPipeline::add_file(std::size_t file,
                              const std::vector<ChunkTask>& chunks) {
@@ -24,16 +37,16 @@ void ChunkPipeline::pump() {
   bool dispatched = true;
   while (dispatched) {
     dispatched = false;
-    for (auto& [cloud, free] : free_slots_) {
-      if (free == 0) continue;
+    for (auto& [id, slots] : free_slots_) {
+      if (slots.free == 0) continue;
       // First queued chunk for this cloud (FIFO per cloud).
       const auto it = std::find_if(
           queue_.begin(), queue_.end(),
-          [&](const Pending& p) { return p.task.cloud == cloud; });
+          [&](const Pending& p) { return p.task.cloud == slots.cloud; });
       if (it == queue_.end()) continue;
       Pending pending = *it;
       queue_.erase(it);
-      --free;
+      --slots.free;
       ++in_flight_;
       dispatch(pending);
       dispatched = true;
@@ -53,7 +66,7 @@ void ChunkPipeline::dispatch(Pending pending) {
 }
 
 void ChunkPipeline::complete(Pending pending, bool ok) {
-  ++free_slots_[pending.task.cloud];
+  ++free_slots_.at(pending.task.cloud->id()).free;
   --in_flight_;
   if (!ok && pending.tries + 1 < retry_.max_attempts) {
     ++pending.tries;

@@ -28,13 +28,11 @@ class ChunkPipeline
   // Per-chunk retries follow the unified RetryPolicy's attempt budget (the
   // backoff/deadline fields are ignored: the simulator's virtual-time
   // connection contention already spaces retries out).
+  // `connections` gives each cloud's connection budget; clouds are served
+  // in id order, so a run does not depend on where they sit in memory.
   ChunkPipeline(sim::SimEnv& env, bool download,
-                std::map<sim::SimCloud*, std::size_t> connections,
-                RetryPolicy retry = {.max_attempts = 7})
-      : env_(env),
-        download_(download),
-        free_slots_(std::move(connections)),
-        retry_(retry) {}
+                const std::map<sim::SimCloud*, std::size_t>& connections,
+                RetryPolicy retry = {.max_attempts = 7});
 
   // Fires when the last chunk of a file completed (or was abandoned).
   std::function<void(std::size_t file, bool ok)> on_file_done;
@@ -58,9 +56,14 @@ class ChunkPipeline
   void dispatch(Pending pending);
   void complete(Pending pending, bool ok);
 
+  struct Slots {
+    sim::SimCloud* cloud = nullptr;
+    std::size_t free = 0;
+  };
+
   sim::SimEnv& env_;
   bool download_;
-  std::map<sim::SimCloud*, std::size_t> free_slots_;
+  std::map<std::uint32_t, Slots> free_slots_;  // by SimCloud::id()
   RetryPolicy retry_;
 
   std::vector<Pending> queue_;  // FIFO (front = index 0)

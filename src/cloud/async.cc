@@ -93,6 +93,31 @@ struct Waiter : std::enable_shared_from_this<Waiter> {
 // The Waiter of the BlockingCloud call running on this thread, if any.
 thread_local Waiter* t_waiter = nullptr;
 
+using Leaves = std::vector<std::function<void()>>;
+
+// SyncAdapter verbs launched by the pool task running on this thread (see
+// run_then_leaves), if any.
+thread_local Leaves* t_leaves = nullptr;
+
+// Runs `step` inside a pool task and then, on the same worker, every
+// SyncAdapter verb the step launched: one pool hop per RPC instead of two.
+// The verbs run only after the step returned, so their completions never
+// run on the step's stack or under an OpChain lock the step held.
+template <typename Fn>
+void run_then_leaves(Fn&& step) {
+  Leaves leaves;
+  {
+    Leaves* const outer = t_leaves;
+    t_leaves = &leaves;
+    struct Restore {
+      Leaves* outer;
+      ~Restore() { t_leaves = outer; }
+    } restore{outer};
+    step();
+  }
+  for (std::function<void()>& leaf : leaves) leaf();
+}
+
 using detail::AsyncOpState;
 using OpStatePtr = std::shared_ptr<AsyncOpState>;
 
@@ -215,6 +240,23 @@ R error_result(Status s) {
 
 // --- SyncAdapter ------------------------------------------------------------
 
+namespace {
+
+// The gauge `name` of `obs` (null when `obs` is), looked up once into
+// `slot`; racing first uses both look it up and get the same instrument.
+obs::Gauge* gauge(obs::Observability* obs, std::atomic<obs::Gauge*>& slot,
+                  const char* name) {
+  if (obs == nullptr) return nullptr;
+  obs::Gauge* g = slot.load(std::memory_order_acquire);
+  if (g == nullptr) {
+    g = &obs->metrics.gauge(name);
+    slot.store(g, std::memory_order_release);
+  }
+  return g;
+}
+
+}  // namespace
+
 SyncAdapter::SyncAdapter(CloudPtr inner, AsyncContext ctx)
     : inner_(std::move(inner)), ctx_(std::move(ctx)) {}
 
@@ -230,13 +272,16 @@ AsyncHandle SyncAdapter::run(std::function<R(CloudProvider&)> op,
     while (now_active > peak &&
            !active->peak.compare_exchange_weak(peak, now_active)) {
     }
-    obs::set_gauge(obs.get(), "async.io.rpcs_active",
-                   static_cast<double>(now_active));
-    obs::set_gauge(obs.get(), "async.io.rpcs_active_peak",
-                   static_cast<double>(active->peak.load()));
+    obs::Gauge* const n_gauge =
+        gauge(obs.get(), active->n_gauge, "async.io.rpcs_active");
+    if (n_gauge != nullptr) {
+      n_gauge->set(static_cast<double>(now_active));
+      gauge(obs.get(), active->peak_gauge, "async.io.rpcs_active_peak")
+          ->set(static_cast<double>(active->peak.load()));
+    }
     R result = op(*inner);
-    obs::set_gauge(obs.get(), "async.io.rpcs_active",
-                   static_cast<double>(active->n.fetch_sub(1) - 1));
+    const auto after = active->n.fetch_sub(1) - 1;
+    if (n_gauge != nullptr) n_gauge->set(static_cast<double>(after));
     done(std::move(result));
     state->finish();
   };
@@ -244,6 +289,10 @@ AsyncHandle SyncAdapter::run(std::function<R(CloudProvider&)> op,
     // A BlockingCloud's waiting thread would only sleep while a pool thread
     // ran the verb: run it here instead.
     task();
+  } else if (t_leaves != nullptr) {
+    // Launched from a pool task that runs its leaves itself once it is
+    // done (a retry layer's first attempt): stay on this worker.
+    t_leaves->push_back(std::move(task));
   } else {
     ctx_.io->submit(std::move(task));
   }
@@ -996,8 +1045,10 @@ class AsyncRetryingCloud final : public AsyncCloud {
       // Deferred: a breaker refusal never completes on the caller's stack,
       // and first attempts run on the pool in launch order, so a driver
       // launching under its lock never draws fault or breaker decisions
-      // concurrently with completions (seeded runs replay identically).
-      ctx_.io->submit([op] { retry_attempt(op); });
+      // concurrently with completions (seeded runs replay identically). A
+      // SyncAdapter leaf's verb then runs on the same worker, right after
+      // the attempt returned.
+      ctx_.io->submit([op] { run_then_leaves([&] { retry_attempt(op); }); });
     }
     return AsyncHandle(op->state);
   }

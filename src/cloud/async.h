@@ -14,6 +14,10 @@
 //   1. Completions are NEVER invoked on the caller's stack — they run on
 //      the I/O pool or the timer wheel. Callers may therefore launch while
 //      holding their own locks (the streaming drivers launch under lock_).
+//      The retry layer's first attempt runs as its own pool task; a
+//      SyncAdapter leaf it reaches runs its verb (and so the completion)
+//      on that same worker once the attempt's step has returned — one
+//      pool hop per RPC, never inside the step or under its OpChain lock.
 //      The one exception is BlockingCloud, whose caller holds no locks and
 //      waits anyway: its op runs on that thread (the retry layer's first
 //      attempt, a SyncAdapter leaf's verb, the step after a wheel delay)
@@ -203,6 +207,10 @@ class SyncAdapter final : public AsyncCloud {
   struct Active {
     std::atomic<std::size_t> n{0};
     std::atomic<std::size_t> peak{0};
+    // The two gauges, looked up on the first RPC: a registry lookup per
+    // RPC would serialize every pool thread on the registry's mutex.
+    std::atomic<obs::Gauge*> n_gauge{nullptr};
+    std::atomic<obs::Gauge*> peak_gauge{nullptr};
   };
 
   template <typename R>

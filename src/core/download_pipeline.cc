@@ -135,7 +135,9 @@ void DownloadPipeline::add_file(const FileSnapshot& snapshot,
       if (f.closed) return;
       const auto it = segments_.find(seg_id);
       if (it != segments_.end()) {
-        ++it->second.waiters_remaining;
+        SegState& seg = it->second;
+        ++seg.waiters_remaining;
+        if (seg.files.back() != fi) seg.files.push_back(fi);
         ++f.admitted;
         advance_file_locked(fi);
         continue;
@@ -189,6 +191,7 @@ void DownloadPipeline::add_file(const FileSnapshot& snapshot,
       state.shard_charge = shard_charge;
       state.plain_charge = plain_charge;
       state.waiters_remaining = 1;
+      state.files.push_back(fi);
       segments_.emplace(seg_id, std::move(state));
       ++unresolved_segments_;
       ++files_[fi].admitted;
@@ -209,7 +212,7 @@ void DownloadPipeline::add_file(const FileSnapshot& snapshot,
         resolve_failed_locked(seg_id, it->second,
                               make_error(ErrorCode::kUnavailable,
                                          "restore pipeline cancelled"));
-        advance_files_locked();
+        advance_waiters_locked(seg_id);
       }
     }
   }
@@ -330,7 +333,7 @@ void DownloadPipeline::process_segment(const std::string& id, bool ok) {
         std::lock_guard<std::mutex> cache(cache_mutex_);
         shard_cache_.erase(id);
       }
-      advance_files_locked();
+      advance_waiters_locked(id);
       maybe_release_segment_locked(id);
     } else {
       Status failure =
@@ -346,7 +349,7 @@ void DownloadPipeline::process_segment(const std::string& id, bool ok) {
                                   "could not fetch k blocks for segment " +
                                       id));
       resolve_failed_locked(id, seg, std::move(failure));
-      advance_files_locked();
+      advance_waiters_locked(id);
     }
   }
   --decode_queue_;
@@ -372,10 +375,12 @@ void DownloadPipeline::resolve_failed_locked(const std::string& id,
   maybe_release_segment_locked(id);
 }
 
-void DownloadPipeline::advance_files_locked() {
-  for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-    advance_file_locked(fi);
-  }
+void DownloadPipeline::advance_waiters_locked(const std::string& seg_id) {
+  const auto it = segments_.find(seg_id);
+  if (it == segments_.end()) return;  // released: no position waits on it
+  // A copy: advancing consumes waiters and may erase the entry.
+  const std::vector<std::size_t> files = it->second.files;
+  for (const std::size_t fi : files) advance_file_locked(fi);
 }
 
 void DownloadPipeline::advance_file_locked(std::size_t file_index) {
@@ -498,8 +503,8 @@ std::vector<DownloadPipeline::FileResult> DownloadPipeline::finish() {
       resolve_failed_locked(id, it->second,
                             make_error(ErrorCode::kUnavailable,
                                        "restore pipeline cancelled"));
+      advance_waiters_locked(id);
     }
-    advance_files_locked();
     for (FileState& f : files_) {
       if (!f.closed) {
         fail_file_locked(f, make_error(ErrorCode::kUnavailable,

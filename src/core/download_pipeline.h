@@ -133,6 +133,9 @@ class DownloadPipeline {
     Status failure = Status::ok();
     // File positions (file index, segment position) awaiting this segment.
     std::size_t waiters_remaining = 0;
+    // Files that admitted this segment, ascending: the only ones whose
+    // writes can advance when it resolves.
+    std::vector<std::size_t> files;
   };
 
   struct FileState {
@@ -163,7 +166,8 @@ class DownloadPipeline {
   // All *_locked helpers require mu_ held.
   void resolve_failed_locked(const std::string& id, SegState& seg,
                              Status status);
-  void advance_files_locked();
+  // Advances every file that admitted `seg_id` (called once it resolved).
+  void advance_waiters_locked(const std::string& seg_id);
   void advance_file_locked(std::size_t file_index);
   void fail_file_locked(FileState& file, Status status);
   void finalize_file_locked(FileState& file);

@@ -21,7 +21,10 @@ void DownloadScheduler::append_file(DownloadFileSpec file) {
     ss.spec = seg;
     ss.block_bytes = (seg.size + k_ - 1) / k_;
     ss.budget = k_;
-    file_segments_[fi].push_back(segments_.size());
+    const std::size_t si = segments_.size();
+    file_segments_[fi].push_back(si);
+    newest_[seg.id] = si;
+    incomplete_.insert(incomplete_.end(), si);
     segments_.push_back(std::move(ss));
   }
   files_.push_back(std::move(file));
@@ -33,14 +36,13 @@ void DownloadScheduler::add_file(DownloadFileSpec file) {
 
 void DownloadScheduler::raise_budget(const std::string& segment_id,
                                      std::size_t extra) {
-  // Last match wins (see find_segment): only the most recent admission of
-  // a re-fed segment id re-arms.
-  for (auto it = segments_.rbegin(); it != segments_.rend(); ++it) {
-    if (it->spec.id == segment_id) {
-      it->budget += extra;
-      return;
-    }
-  }
+  // Only the most recent admission of a re-fed segment id re-arms (see
+  // find_segment).
+  const auto it = newest_.find(segment_id);
+  if (it == newest_.end()) return;
+  SegmentState& seg = segments_[it->second];
+  seg.budget += extra;
+  if (!seg.complete()) incomplete_.insert(it->second);
 }
 
 const DownloadScheduler::SegmentState* DownloadScheduler::find_segment(
@@ -48,10 +50,8 @@ const DownloadScheduler::SegmentState* DownloadScheduler::find_segment(
   // A streaming batch may re-feed a segment id after an earlier admission
   // completed (e.g. the same content appears again once its first copy was
   // written and released); per-id queries track the newest admission.
-  for (auto it = segments_.rbegin(); it != segments_.rend(); ++it) {
-    if (it->spec.id == segment_id) return &*it;
-  }
-  return nullptr;
+  const auto it = newest_.find(segment_id);
+  return it == newest_.end() ? nullptr : &segments_[it->second];
 }
 
 bool DownloadScheduler::segment_complete(const std::string& segment_id) const {
@@ -71,12 +71,7 @@ bool DownloadScheduler::file_complete(std::size_t file_index) const {
   return true;
 }
 
-bool DownloadScheduler::all_complete() const {
-  for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-    if (!file_complete(fi)) return false;
-  }
-  return true;
-}
+bool DownloadScheduler::all_complete() const { return incomplete_.empty(); }
 
 bool DownloadScheduler::segment_stuck(const SegmentState& seg) const {
   if (seg.complete()) return false;
@@ -109,8 +104,8 @@ bool DownloadScheduler::finished() const {
   // a real client simply abandons those connections.
   if (all_complete()) return true;
   if (in_flight_ > 0) return false;
-  for (const SegmentState& seg : segments_) {
-    if (!seg.complete() && !segment_stuck(seg)) return false;
+  for (const std::size_t si : incomplete_) {
+    if (!segment_stuck(segments_[si])) return false;
   }
   return true;
 }
@@ -122,26 +117,23 @@ std::optional<BlockTask> DownloadScheduler::next_task(cloud::CloudId cloud) {
   // cloud cannot serve NEVER blocks later files — a connection with nothing
   // to contribute to file i is better spent on file i+1, and a stuck file
   // must not deadlock the whole job.
-  for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-    for (const std::size_t si : file_segments_[fi]) {
-      SegmentState& seg = segments_[si];
-      if (seg.complete()) continue;
-      // Never request more than the still-needed distinct blocks.
-      if (seg.done.size() + seg.in_flight.size() >= seg.budget) continue;
-      for (const metadata::BlockLocation& loc : seg.spec.locations) {
-        if (loc.cloud != cloud) continue;
-        if (seg.done.count(loc.block_index) != 0 ||
-            seg.in_flight.count(loc.block_index) != 0) {
-          continue;
-        }
-        if (source_exhausted(si, loc.block_index, cloud)) {
-          continue;  // this source failed repeatedly; stop retrying it
-        }
-        seg.in_flight[loc.block_index] = cloud;
-        ++in_flight_;
-        return BlockTask{fi, seg.spec.id, loc.block_index, cloud,
-                         seg.block_bytes};
+  for (const std::size_t si : incomplete_) {
+    SegmentState& seg = segments_[si];
+    // Never request more than the still-needed distinct blocks.
+    if (seg.done.size() + seg.in_flight.size() >= seg.budget) continue;
+    for (const metadata::BlockLocation& loc : seg.spec.locations) {
+      if (loc.cloud != cloud) continue;
+      if (seg.done.count(loc.block_index) != 0 ||
+          seg.in_flight.count(loc.block_index) != 0) {
+        continue;
       }
+      if (source_exhausted(si, loc.block_index, cloud)) {
+        continue;  // this source failed repeatedly; stop retrying it
+      }
+      seg.in_flight[loc.block_index] = cloud;
+      ++in_flight_;
+      return BlockTask{seg.file_index, seg.spec.id, loc.block_index, cloud,
+                       seg.block_bytes};
     }
   }
   return std::nullopt;
@@ -162,36 +154,33 @@ std::optional<BlockTask> DownloadScheduler::next_hedge_task(
   if (my_rank_it == speed_rank_.end()) return std::nullopt;
   const std::size_t my_rank = my_rank_it->second;
 
-  for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-    for (const std::size_t si : file_segments_[fi]) {
-      SegmentState& seg = segments_[si];
-      if (seg.complete()) continue;
-      // Hedge only when a needed block is pinned on a strictly slower cloud.
-      bool pinned_on_slower = false;
-      std::size_t my_in_flight = 0;
-      for (const auto& [index, holder] : seg.in_flight) {
-        if (holder == cloud) ++my_in_flight;
-        const auto rank_it = speed_rank_.find(holder);
-        if (rank_it != speed_rank_.end() && rank_it->second > my_rank) {
-          pinned_on_slower = true;
-        }
+  for (const std::size_t si : incomplete_) {
+    SegmentState& seg = segments_[si];
+    // Hedge only when a needed block is pinned on a strictly slower cloud.
+    bool pinned_on_slower = false;
+    std::size_t my_in_flight = 0;
+    for (const auto& [index, holder] : seg.in_flight) {
+      if (holder == cloud) ++my_in_flight;
+      const auto rank_it = speed_rank_.find(holder);
+      if (rank_it != speed_rank_.end() && rank_it->second > my_rank) {
+        pinned_on_slower = true;
       }
-      if (!pinned_on_slower || my_in_flight >= 1 + k_ / 2) continue;
-      // Fetch an extra distinct block from this cloud.
-      for (const metadata::BlockLocation& loc : seg.spec.locations) {
-        if (loc.cloud != cloud) continue;
-        if (seg.done.count(loc.block_index) != 0 ||
-            seg.in_flight.count(loc.block_index) != 0) {
-          continue;
-        }
-        if (source_exhausted(si, loc.block_index, cloud)) {
-          continue;
-        }
-        seg.in_flight[loc.block_index] = cloud;
-        ++in_flight_;
-        return BlockTask{fi, seg.spec.id, loc.block_index, cloud,
-                         seg.block_bytes};
+    }
+    if (!pinned_on_slower || my_in_flight >= 1 + k_ / 2) continue;
+    // Fetch an extra distinct block from this cloud.
+    for (const metadata::BlockLocation& loc : seg.spec.locations) {
+      if (loc.cloud != cloud) continue;
+      if (seg.done.count(loc.block_index) != 0 ||
+          seg.in_flight.count(loc.block_index) != 0) {
+        continue;
       }
+      if (source_exhausted(si, loc.block_index, cloud)) {
+        continue;
+      }
+      seg.in_flight[loc.block_index] = cloud;
+      ++in_flight_;
+      return BlockTask{seg.file_index, seg.spec.id, loc.block_index, cloud,
+                       seg.block_bytes};
     }
   }
   return std::nullopt;
@@ -207,6 +196,7 @@ void DownloadScheduler::on_complete(const BlockTask& task, bool success) {
     --in_flight_;
     if (success) {
       seg.done.insert(task.block_index);
+      if (seg.complete()) incomplete_.erase(si);
     } else {
       ++failure_counts_[{si, task.block_index, task.cloud}];
     }

@@ -10,6 +10,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cloud/provider.h"
@@ -116,6 +117,12 @@ class DownloadScheduler {
   std::vector<DownloadFileSpec> files_;
   std::vector<SegmentState> segments_;
   std::vector<std::vector<std::size_t>> file_segments_;
+  // Newest admission of each segment id: the one per-id queries track.
+  std::unordered_map<std::string, std::size_t> newest_;
+  // Segments short of their budget, in batch order — the only ones the
+  // polls and finished() have to look at. A segment leaves when its budget
+  // is met and comes back when raise_budget() lifts it again.
+  std::set<std::size_t> incomplete_;
   std::set<cloud::CloudId> disabled_;
   std::map<cloud::CloudId, std::size_t> speed_rank_;  // 0 = fastest
   // Failures are transient (that's the measured cloud behaviour): each

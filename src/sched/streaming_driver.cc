@@ -1,6 +1,7 @@
 #include "sched/streaming_driver.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 
 #include "common/clock.h"
@@ -44,6 +45,7 @@ StreamingUploadDriver::StreamingUploadDriver(
     inflight_peak_gauge_ =
         &obs_->metrics.gauge("driver.up.rpcs_inflight_peak");
     threads_gauge_ = &obs_->metrics.gauge("driver.up.exec_threads_active");
+    settle_checks_ = &obs_->metrics.counter("driver.up.settle_checks");
   }
   // Up-front breaker gate: a cloud tripped in an earlier round starts this
   // job disabled unless its probe timer expired.
@@ -70,15 +72,16 @@ bool StreamingUploadDriver::done() const {
 void StreamingUploadDriver::add_file(UploadFileSpec file) {
   std::lock_guard<std::mutex> guard(lock_);
   if (closed_ || cancelled_) return;
-  for (const UploadSegmentSpec& seg : file.segments) {
-    unsettled_.insert(seg.id);
-  }
+  std::set<std::string> added;
+  for (const UploadSegmentSpec& seg : file.segments) added.insert(seg.id);
+  unsettled_.insert(added.begin(), added.end());
   scheduler_.add_file(std::move(file));
-  pump();
   // With every cloud capped or down the new segments may already be
   // unassignable; settle them now so a producer blocked on a memory cap
-  // is not left waiting for a completion that will never come.
-  sweep_settled();
+  // is not left waiting for a completion that will never come (and,
+  // before the pump, so they do not hold the availability phase).
+  for (const std::string& id : added) settle(id);
+  pump();
 }
 
 void StreamingUploadDriver::close() {
@@ -128,17 +131,24 @@ void StreamingUploadDriver::pump() {
   }
 }
 
+bool StreamingUploadDriver::settle_if_done(const std::string& segment_id) {
+  if (settle_checks_ != nullptr) settle_checks_->add();
+  if (!scheduler_.segment_settled(segment_id)) return false;
+  // Abandon BEFORE releasing the bytes: a cloud re-admitted later must
+  // never be assigned a block whose shards are gone.
+  scheduler_.abandon_segment(segment_id);
+  if (on_settled_) on_settled_(segment_id);
+  return true;
+}
+
+void StreamingUploadDriver::settle(const std::string& segment_id) {
+  const auto it = unsettled_.find(segment_id);
+  if (it != unsettled_.end() && settle_if_done(*it)) unsettled_.erase(it);
+}
+
 void StreamingUploadDriver::sweep_settled() {
   for (auto it = unsettled_.begin(); it != unsettled_.end();) {
-    if (!scheduler_.segment_settled(*it)) {
-      ++it;
-      continue;
-    }
-    // Abandon BEFORE releasing the bytes: a cloud re-admitted later must
-    // never be assigned a block whose shards are gone.
-    scheduler_.abandon_segment(*it);
-    if (on_settled_) on_settled_(*it);
-    it = unsettled_.erase(it);
+    it = settle_if_done(*it) ? unsettled_.erase(it) : std::next(it);
   }
 }
 
@@ -188,10 +198,14 @@ void StreamingUploadDriver::finish_transfer(cloud::CloudId cloud,
 
   std::lock_guard<std::mutex> guard(lock_);
   scheduler_.on_complete(task, status.is_ok());
+  // Whether the set of enabled clouds changed: the one event that can move
+  // the verdict of a segment this completion did not touch.
+  bool clouds_changed = false;
   if (status.is_ok()) {
     consecutive_failures_[cloud] = 0;
     if (disabled_.erase(cloud) != 0) {
       scheduler_.set_cloud_enabled(cloud, true);
+      clouds_changed = true;
       obs::add_counter(obs_.get(), "driver.cloud_readmitted");
       UNI_LOG(kInfo) << "cloud " << cloud << " re-admitted";
     }
@@ -202,6 +216,7 @@ void StreamingUploadDriver::finish_transfer(cloud::CloudId cloud,
         consecutive_failures_[cloud] >= config_.max_consecutive_failures;
     if (down && disabled_.insert(cloud).second) {
       scheduler_.set_cloud_enabled(cloud, false);
+      clouds_changed = true;
       obs::add_counter(obs_.get(), "driver.cloud_disabled");
       UNI_LOG(kInfo) << "cloud " << cloud
                      << " disabled after repeated failures";
@@ -210,10 +225,20 @@ void StreamingUploadDriver::finish_transfer(cloud::CloudId cloud,
   ++free_conns_[cloud];
   --outstanding_;
   note_inflight();
+  // Settle before pumping: the pump cannot change which segments are
+  // settled, but a segment given up here (nothing assignable, not fully
+  // served) would otherwise hold the availability phase through this
+  // pump, and with nothing left in flight no later event would pump again.
+  if (clouds_changed) {
+    sweep_settled();
+  } else {
+    settle(task.segment_id);
+  }
   pump();
-  sweep_settled();
-  // Notify under the lock: wait() may destroy this object right after.
-  cv_.notify_all();
+  // Wake wait() only once it can return, not on every completion: a woken
+  // waiter contends for lock_ with the completions. Notify under the lock:
+  // wait() may destroy this object right after.
+  if (done()) cv_.notify_all();
 }
 
 // --- StreamingDownloadDriver ------------------------------------------------
@@ -252,6 +277,7 @@ StreamingDownloadDriver::StreamingDownloadDriver(
     inflight_peak_gauge_ =
         &obs_->metrics.gauge("driver.down.rpcs_inflight_peak");
     threads_gauge_ = &obs_->metrics.gauge("driver.down.exec_threads_active");
+    decide_checks_ = &obs_->metrics.counter("driver.down.decide_checks");
   }
   if (health_ != nullptr) {
     for (const cloud::CloudId c : clouds_) {
@@ -276,14 +302,14 @@ bool StreamingDownloadDriver::done() const {
 void StreamingDownloadDriver::add_file(DownloadFileSpec file) {
   std::lock_guard<std::mutex> guard(lock_);
   if (closed_ || cancelled_) return;
-  for (const DownloadSegmentSpec& seg : file.segments) {
-    pending_.insert(seg.id);
-  }
+  std::set<std::string> added;
+  for (const DownloadSegmentSpec& seg : file.segments) added.insert(seg.id);
+  pending_.insert(added.begin(), added.end());
   scheduler_.add_file(std::move(file));
   pump();
   // A segment with too little reachable supply (all holders down) is
   // undecidable-forever unless reported now.
-  sweep_decided();
+  for (const std::string& id : added) decide(id);
 }
 
 void StreamingDownloadDriver::request_extra_block(
@@ -296,7 +322,7 @@ void StreamingDownloadDriver::request_extra_block(
   scheduler_.raise_budget(segment_id, 1);
   pending_.insert(segment_id);
   pump();
-  sweep_decided();  // supply may already be exhausted: fail immediately
+  decide(segment_id);  // supply may already be exhausted: fail immediately
 }
 
 void StreamingDownloadDriver::close() {
@@ -347,22 +373,24 @@ void StreamingDownloadDriver::pump() {
   }
 }
 
+bool StreamingDownloadDriver::decide_if_done(const std::string& segment_id) {
+  if (decide_checks_ != nullptr) decide_checks_->add();
+  const bool ok = scheduler_.segment_complete(segment_id);
+  if (!ok && !cancelled_ && !scheduler_.segment_failed(segment_id)) {
+    return false;
+  }
+  if (on_fetched_) on_fetched_(segment_id, ok);
+  return true;
+}
+
+void StreamingDownloadDriver::decide(const std::string& segment_id) {
+  const auto it = pending_.find(segment_id);
+  if (it != pending_.end() && decide_if_done(*it)) pending_.erase(it);
+}
+
 void StreamingDownloadDriver::sweep_decided() {
   for (auto it = pending_.begin(); it != pending_.end();) {
-    bool decided = false;
-    bool ok = false;
-    if (scheduler_.segment_complete(*it)) {
-      decided = true;
-      ok = true;
-    } else if (cancelled_ || scheduler_.segment_failed(*it)) {
-      decided = true;
-    }
-    if (!decided) {
-      ++it;
-      continue;
-    }
-    if (on_fetched_) on_fetched_(*it, ok);
-    it = pending_.erase(it);
+    it = decide_if_done(*it) ? pending_.erase(it) : std::next(it);
   }
 }
 
@@ -410,10 +438,14 @@ void StreamingDownloadDriver::finish_transfer(cloud::CloudId cloud,
 
   std::lock_guard<std::mutex> guard(lock_);
   scheduler_.on_complete(task, status.is_ok());
+  // Whether the set of enabled clouds changed: the one event that can move
+  // the verdict of a segment this completion did not touch.
+  bool clouds_changed = false;
   if (status.is_ok()) {
     consecutive_failures_[cloud] = 0;
     if (disabled_.erase(cloud) != 0) {
       scheduler_.set_cloud_enabled(cloud, true);
+      clouds_changed = true;
       obs::add_counter(obs_.get(), "driver.cloud_readmitted");
       UNI_LOG(kInfo) << "cloud " << cloud << " re-admitted";
     }
@@ -424,6 +456,7 @@ void StreamingDownloadDriver::finish_transfer(cloud::CloudId cloud,
         consecutive_failures_[cloud] >= config_.max_consecutive_failures;
     if (down && disabled_.insert(cloud).second) {
       scheduler_.set_cloud_enabled(cloud, false);
+      clouds_changed = true;
       obs::add_counter(obs_.get(), "driver.cloud_disabled");
       UNI_LOG(kInfo) << "cloud " << cloud
                      << " disabled after repeated failures";
@@ -433,9 +466,15 @@ void StreamingDownloadDriver::finish_transfer(cloud::CloudId cloud,
   --outstanding_;
   note_inflight();
   pump();
-  sweep_decided();
-  // Notify under the lock: wait() may destroy this object right after.
-  cv_.notify_all();
+  if (clouds_changed) {
+    sweep_decided();
+  } else {
+    decide(task.segment_id);
+  }
+  // Wake wait() only once it can return, not on every completion: a woken
+  // waiter contends for lock_ with the completions. Notify under the lock:
+  // wait() may destroy this object right after.
+  if (done()) cv_.notify_all();
 }
 
 }  // namespace unidrive::sched

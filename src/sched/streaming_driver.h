@@ -31,8 +31,20 @@
 // the SegmentSettledFn, letting the pipeline drop the shard bytes early.
 // Abandoning first makes the release safe: even if a disabled cloud is
 // later re-admitted, the scheduler will never ask for those bytes again.
-// The settled sweep also runs when clouds go down mid-run, so a producer
-// blocked on an in-flight-bytes cap is always unblocked eventually.
+//
+// Cost per event: a segment's verdict (settled here, fetched/failed in the
+// download driver) depends only on that segment's own blocks and on which
+// clouds are enabled. So a completion re-checks only the segment it
+// touched, add_file only the segments it adds, request_extra_block only
+// the segment it re-arms; the work per event does not grow with the
+// batch. Every pending segment is re-checked (a full sweep) only when a
+// cloud is disabled or re-admitted, and, in the download driver, on
+// cancel — so a producer blocked on an in-flight-bytes cap is still
+// unblocked when clouds go down mid-run. The counters
+// driver.up.settle_checks and driver.down.decide_checks count the checks.
+// The upload driver settles before it pumps: a segment given up at this
+// event must not hold the availability phase through the pump, or a job
+// with nothing left in flight would never pump again.
 //
 // cancel() stops all future assignment; transfers already running finish
 // (cloud calls are not interruptible) and are awaited by wait().
@@ -130,9 +142,16 @@ class StreamingUploadDriver {
   }
 
  private:
-  // All of pump/sweep_settled/launch/note_inflight require lock_ held.
+  // All of pump/settle*/sweep_settled/launch/note_inflight require lock_
+  // held.
   void pump();
+  // Settles `segment_id` if it is unsettled and settled now.
+  void settle(const std::string& segment_id);
+  // Re-checks every unsettled segment.
   void sweep_settled();
+  // One check: true when the segment settled (abandoned, callback fired);
+  // the caller drops it from unsettled_.
+  bool settle_if_done(const std::string& segment_id);
   [[nodiscard]] bool done() const;
   void launch(cloud::CloudId cloud, const BlockTask& task);
   // Everything that happens once a transfer's Status is known: metering,
@@ -161,6 +180,7 @@ class StreamingUploadDriver {
   std::map<cloud::CloudId, int> consecutive_failures_;
   std::set<cloud::CloudId> disabled_;
   std::set<std::string> unsettled_;
+  obs::Counter* settle_checks_ = nullptr;
   std::map<cloud::CloudId, obs::Counter*> ok_counters_;
   std::map<cloud::CloudId, obs::Counter*> err_counters_;
   obs::Histogram* latency_hist_ = nullptr;
@@ -239,9 +259,15 @@ class StreamingDownloadDriver {
   [[nodiscard]] bool cancelled() const;
 
  private:
-  // pump/sweep_decided/launch/note_inflight require lock_ held.
+  // pump/decide*/sweep_decided/launch/note_inflight require lock_ held.
   void pump();
+  // Reports `segment_id`'s fate if it is pending and decided now.
+  void decide(const std::string& segment_id);
+  // Re-checks every pending segment.
   void sweep_decided();
+  // One check: true when the segment's fate was reported; the caller drops
+  // it from pending_.
+  bool decide_if_done(const std::string& segment_id);
   [[nodiscard]] bool done() const;
   void launch(cloud::CloudId cloud, const BlockTask& task, bool is_hedge);
   // Post-transfer bookkeeping, run from the transfer's completion. Takes
@@ -271,6 +297,7 @@ class StreamingDownloadDriver {
   // Segments fed (or re-armed by request_extra_block) whose fate has not
   // been reported yet.
   std::set<std::string> pending_;
+  obs::Counter* decide_checks_ = nullptr;
   std::map<cloud::CloudId, obs::Counter*> ok_counters_;
   std::map<cloud::CloudId, obs::Counter*> err_counters_;
   obs::Histogram* latency_hist_ = nullptr;

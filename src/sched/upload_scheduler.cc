@@ -28,10 +28,29 @@ void UploadScheduler::add_file(UploadFileSpec file) {
     ss.file_index = fi;
     ss.id = seg.id;
     ss.block_bytes = (seg.size + params_.k - 1) / params_.k;
-    fs.segment_indices.push_back(segments_.size());
+    ss.load.assign(clouds_.size(), 0);
+    ss.done_on.assign(clouds_.size(), 0);
+    const std::size_t si = segments_.size();
+    fs.segment_indices.push_back(si);
+    by_id_[seg.id].push_back(si);
+    live_.insert(live_.end(), si);
     segments_.push_back(std::move(ss));
   }
   files_.push_back(std::move(fs));
+}
+
+std::size_t UploadScheduler::slot_of(cloud::CloudId cloud) const {
+  for (std::size_t i = 0; i < clouds_.size(); ++i) {
+    if (clouds_[i] == cloud) return i;
+  }
+  return kNoSlot;
+}
+
+const std::vector<std::size_t>& UploadScheduler::with_id(
+    const std::string& segment_id) const {
+  static const std::vector<std::size_t> kNone;
+  const auto it = by_id_.find(segment_id);
+  return it == by_id_.end() ? kNone : it->second;
 }
 
 bool UploadScheduler::segment_available(const SegmentState& seg) const {
@@ -40,13 +59,9 @@ bool UploadScheduler::segment_available(const SegmentState& seg) const {
 
 bool UploadScheduler::segment_reliable(const SegmentState& seg) const {
   // Every *enabled* cloud holds its fair share (completed, not in-flight).
-  std::map<cloud::CloudId, std::size_t> done_per_cloud;
-  for (const auto& [index, c] : seg.done) ++done_per_cloud[c];
-  for (const cloud::CloudId c : clouds_) {
-    if (disabled_.count(c) != 0) continue;
-    const auto it = done_per_cloud.find(c);
-    const std::size_t have = it == done_per_cloud.end() ? 0 : it->second;
-    if (have < params_.fair_share()) return false;
+  for (std::size_t i = 0; i < clouds_.size(); ++i) {
+    if (disabled_.count(clouds_[i]) != 0) continue;
+    if (seg.done_on[i] < params_.fair_share()) return false;
   }
   return true;
 }
@@ -66,10 +81,11 @@ bool UploadScheduler::file_available(std::size_t file_index) const {
 }
 
 bool UploadScheduler::all_available() const {
-  for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-    if (!file_available(fi)) return false;
+  while (available_prefix_ < files_.size() &&
+         file_available(available_prefix_)) {
+    ++available_prefix_;
   }
-  return true;
+  return available_prefix_ == files_.size();
 }
 
 bool UploadScheduler::file_reliable(std::size_t file_index) const {
@@ -81,10 +97,19 @@ bool UploadScheduler::file_reliable(std::size_t file_index) const {
 }
 
 bool UploadScheduler::all_reliable() const {
-  for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-    if (!file_reliable(fi)) return false;
+  for (const std::size_t si : live_) {
+    if (!segment_reliable(segments_[si])) return false;
   }
   return true;
+}
+
+bool UploadScheduler::assignable(const SegmentState& seg,
+                                 bool allow_overprov) const {
+  for (const cloud::CloudId c : clouds_) {
+    if (disabled_.count(c) != 0) continue;
+    if (pick_block(seg, c, allow_overprov).has_value()) return true;
+  }
+  return false;
 }
 
 bool UploadScheduler::finished() const {
@@ -94,29 +119,24 @@ bool UploadScheduler::finished() const {
   if (in_flight_ > 0) return false;
   // Finished when every segment is fully served, or nothing more can be
   // assigned to any enabled cloud (e.g. clouds down / caps reached).
-  for (const SegmentState& seg : segments_) {
-    if (seg.abandoned || segment_fully_served(seg)) continue;
-    for (const cloud::CloudId c : clouds_) {
-      if (disabled_.count(c) != 0) continue;
-      // Feasibility probe on a scratch copy (pick_block has no side effects
-      // besides its return, but takes a mutable ref).
-      SegmentState probe = seg;
-      UploadScheduler* self = const_cast<UploadScheduler*>(this);
-      const bool allow_overprov =
-          options_.overprovision && !segment_reliable(seg);
-      if (self->pick_block(probe, c, allow_overprov).has_value()) {
-        return false;
-      }
+  for (const std::size_t si : live_) {
+    const SegmentState& seg = segments_[si];
+    if (segment_fully_served(seg)) continue;
+    if (assignable(seg, options_.overprovision && !segment_reliable(seg))) {
+      return false;
     }
   }
   return true;
 }
 
 std::optional<std::uint32_t> UploadScheduler::pick_block(
-    SegmentState& seg, cloud::CloudId cloud, bool allow_overprov) {
+    const SegmentState& seg, cloud::CloudId cloud,
+    bool allow_overprov) const {
   if (seg.abandoned) return std::nullopt;
+  const std::size_t slot = slot_of(cloud);
+  if (slot == kNoSlot) return std::nullopt;  // never homed, never done
   const std::size_t cap = params_.max_per_cloud();
-  if (seg.cloud_load(cloud) >= cap) return std::nullopt;
+  if (seg.load[slot] >= cap) return std::nullopt;
 
   const auto placed = [&](std::uint32_t index) {
     return seg.done.count(index) != 0 || seg.in_flight.count(index) != 0;
@@ -134,11 +154,7 @@ std::optional<std::uint32_t> UploadScheduler::pick_block(
   // share (the paper: "continuing to send extra parity blocks to faster
   // clouds even if they have received their fair share") — otherwise extra
   // blocks would compete with the cloud's own normal blocks for bandwidth.
-  std::size_t done_here = 0;
-  for (const auto& [index, c] : seg.done) {
-    if (c == cloud) ++done_here;
-  }
-  if (done_here < params_.fair_share()) return std::nullopt;
+  if (seg.done_on[slot] < params_.fair_share()) return std::nullopt;
 
   // 2. Over-provisioned parity: any unplaced index, preferring the dedicated
   // over-provision range so normal blocks stay available for their homes.
@@ -155,6 +171,14 @@ std::optional<std::uint32_t> UploadScheduler::pick_block(
   return std::nullopt;
 }
 
+BlockTask UploadScheduler::assign(SegmentState& seg, std::uint32_t index,
+                                  cloud::CloudId cloud) {
+  seg.in_flight[index] = cloud;
+  ++seg.load[slot_of(cloud)];
+  ++in_flight_;
+  return BlockTask{seg.file_index, seg.id, index, cloud, seg.block_bytes};
+}
+
 std::optional<BlockTask> UploadScheduler::next_task(cloud::CloudId cloud) {
   if (disabled_.count(cloud) != 0) return std::nullopt;
 
@@ -163,30 +187,21 @@ std::optional<BlockTask> UploadScheduler::next_task(cloud::CloudId cloud) {
     // every cloud simply works through ITS statically assigned blocks in
     // file order, independently of the other clouds' progress. Slow clouds
     // fall behind on their own queues; nothing rebalances.
-    for (FileState& file : files_) {
-      for (const std::size_t si : file.segment_indices) {
-        SegmentState& seg = segments_[si];
-        if (seg.abandoned || segment_fully_served(seg)) continue;
-        const bool allow_overprov =
-            options_.overprovision && !segment_available(seg);
-        const auto choice = pick_block(seg, cloud, allow_overprov);
-        if (choice.has_value()) {
-          seg.in_flight[*choice] = cloud;
-          ++seg.per_cloud[cloud];
-          ++in_flight_;
-          return BlockTask{seg.file_index, seg.id, *choice, cloud,
-                           seg.block_bytes};
-        }
-      }
+    for (const std::size_t si : live_) {
+      SegmentState& seg = segments_[si];
+      if (segment_fully_served(seg)) continue;
+      const bool allow_overprov =
+          options_.overprovision && !segment_available(seg);
+      const auto choice = pick_block(seg, cloud, allow_overprov);
+      if (choice.has_value()) return assign(seg, *choice, cloud);
     }
     return std::nullopt;
   }
 
-  const bool availability_phase = !all_available();
-
   // Phase 1: first unavailable file, in batch order.
-  if (availability_phase) {
-    for (FileState& file : files_) {
+  if (!all_available()) {
+    for (std::size_t fi = available_prefix_; fi < files_.size(); ++fi) {
+      FileState& file = files_[fi];
       bool file_needs_work = false;
       // Pass A: this cloud's own normal (fair-share) blocks of the
       // segments still missing availability — they serve availability AND
@@ -200,13 +215,7 @@ std::optional<BlockTask> UploadScheduler::next_task(cloud::CloudId cloud) {
         file_needs_work = true;
         const auto choice =
             pick_block(seg, cloud, /*allow_overprov=*/false);
-        if (choice.has_value()) {
-          seg.in_flight[*choice] = cloud;
-          ++seg.per_cloud[cloud];
-          ++in_flight_;
-          return BlockTask{seg.file_index, seg.id, *choice, cloud,
-                           seg.block_bytes};
-        }
+        if (choice.has_value()) return assign(seg, *choice, cloud);
         // Fair share "received" = completed, not merely in flight.
         for (const auto& [index, c] : seg.in_flight) {
           if (c == cloud) fair_share_done = false;
@@ -227,13 +236,7 @@ std::optional<BlockTask> UploadScheduler::next_task(cloud::CloudId cloud) {
           if (seg.abandoned || segment_available(seg)) continue;
           const auto choice =
               pick_block(seg, cloud, /*allow_overprov=*/true);
-          if (choice.has_value()) {
-            seg.in_flight[*choice] = cloud;
-            ++seg.per_cloud[cloud];
-            ++in_flight_;
-            return BlockTask{seg.file_index, seg.id, *choice, cloud,
-                             seg.block_bytes};
-          }
+          if (choice.has_value()) return assign(seg, *choice, cloud);
         }
       }
       // Strict availability-first ordering: while this file still needs
@@ -249,71 +252,57 @@ std::optional<BlockTask> UploadScheduler::next_task(cloud::CloudId cloud) {
   // when every segment is reliable).
   for (const bool homed_pass : {true, false}) {
     if (!homed_pass && !options_.overprovision) break;
-    for (FileState& file : files_) {
-      for (const std::size_t si : file.segment_indices) {
-        SegmentState& seg = segments_[si];
-        if (seg.abandoned || segment_reliable(seg)) continue;
-        const auto choice =
-            pick_block(seg, cloud, /*allow_overprov=*/!homed_pass);
-        if (choice.has_value()) {
-          seg.in_flight[*choice] = cloud;
-          ++seg.per_cloud[cloud];
-          ++in_flight_;
-          return BlockTask{seg.file_index, seg.id, *choice, cloud,
-                           seg.block_bytes};
-        }
-      }
+    for (const std::size_t si : live_) {
+      SegmentState& seg = segments_[si];
+      if (segment_reliable(seg)) continue;
+      const auto choice =
+          pick_block(seg, cloud, /*allow_overprov=*/!homed_pass);
+      if (choice.has_value()) return assign(seg, *choice, cloud);
     }
   }
   return std::nullopt;
 }
 
 void UploadScheduler::on_complete(const BlockTask& task, bool success) {
-  // Locate the segment.
-  for (const std::size_t si : files_[task.file_index].segment_indices) {
+  // Locate the segment: the first one of the task's file with its id.
+  for (const std::size_t si : with_id(task.segment_id)) {
     SegmentState& seg = segments_[si];
-    if (seg.id != task.segment_id) continue;
+    if (seg.file_index != task.file_index) continue;
     const auto it = seg.in_flight.find(task.block_index);
     if (it == seg.in_flight.end() || it->second != task.cloud) return;
     seg.in_flight.erase(it);
     --in_flight_;
-    auto pc = seg.per_cloud.find(task.cloud);
+    const std::size_t slot = slot_of(task.cloud);
     if (success) {
       seg.done[task.block_index] = task.cloud;
-    } else {
+      ++seg.done_on[slot];
+    } else if (seg.load[slot] > 0) {
       // Return capacity; the block becomes assignable again (to any cloud).
-      if (pc != seg.per_cloud.end() && pc->second > 0) --pc->second;
+      --seg.load[slot];
     }
     return;
   }
 }
 
 bool UploadScheduler::segment_settled(const std::string& segment_id) const {
-  bool found = false;
-  for (const SegmentState& seg : segments_) {
-    if (seg.id != segment_id) continue;
-    found = true;
+  const std::vector<std::size_t>& indices = with_id(segment_id);
+  for (const std::size_t si : indices) {
+    const SegmentState& seg = segments_[si];
     if (!seg.in_flight.empty()) return false;
     if (seg.abandoned || segment_fully_served(seg)) continue;
     // Same feasibility probe as finished(): can any enabled cloud still be
     // handed a block of this segment? With nothing in flight, the probe's
     // inputs only change through new assignments, so the verdict is stable
     // (modulo cloud re-admission — see header).
-    for (const cloud::CloudId c : clouds_) {
-      if (disabled_.count(c) != 0) continue;
-      SegmentState probe = seg;
-      UploadScheduler* self = const_cast<UploadScheduler*>(this);
-      if (self->pick_block(probe, c, options_.overprovision).has_value()) {
-        return false;
-      }
-    }
+    if (assignable(seg, options_.overprovision)) return false;
   }
-  return found;
+  return !indices.empty();
 }
 
 void UploadScheduler::abandon_segment(const std::string& segment_id) {
-  for (SegmentState& seg : segments_) {
-    if (seg.id == segment_id) seg.abandoned = true;
+  for (const std::size_t si : with_id(segment_id)) {
+    segments_[si].abandoned = true;
+    live_.erase(si);
   }
 }
 
@@ -344,13 +333,12 @@ bool UploadScheduler::cloud_enabled(cloud::CloudId cloud) const {
 
 std::vector<metadata::BlockLocation> UploadScheduler::locations(
     const std::string& segment_id) const {
+  // Merged across duplicate segment ids (dedup within a batch).
   std::vector<metadata::BlockLocation> out;
-  for (const SegmentState& seg : segments_) {
-    if (seg.id != segment_id) continue;
-    for (const auto& [index, c] : seg.done) {
+  for (const std::size_t si : with_id(segment_id)) {
+    for (const auto& [index, c] : segments_[si].done) {
       out.push_back({index, c});
     }
-    // Merge across duplicate segment ids (dedup within a batch): collect all.
   }
   return out;
 }

@@ -29,6 +29,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cloud/provider.h"
@@ -143,15 +144,10 @@ class UploadScheduler {
     bool abandoned = false;  // withdrawn: never assign another block
     std::map<std::uint32_t, cloud::CloudId> done;      // index -> cloud
     std::map<std::uint32_t, cloud::CloudId> in_flight; // index -> cloud
-    std::map<cloud::CloudId, std::size_t> per_cloud;   // done+in-flight count
-
-    [[nodiscard]] std::size_t distinct_placed() const noexcept {
-      return done.size() + in_flight.size();
-    }
-    [[nodiscard]] std::size_t cloud_load(cloud::CloudId c) const {
-      const auto it = per_cloud.find(c);
-      return it == per_cloud.end() ? 0 : it->second;
-    }
+    // Per cloud slot (position in clouds_), kept up to date by next_task
+    // and on_complete: blocks done + in flight, and blocks done.
+    std::vector<std::size_t> load;
+    std::vector<std::size_t> done_on;
   };
 
   struct FileState {
@@ -159,18 +155,33 @@ class UploadScheduler {
     std::vector<std::size_t> segment_indices;  // into segments_
   };
 
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  // Position of `cloud` in clouds_, or kNoSlot for a cloud not in the job.
+  [[nodiscard]] std::size_t slot_of(cloud::CloudId cloud) const;
+
   // Home cloud of normal block `index` (round-robin), as currently mapped
   // (re-homing on cloud failure mutates homes_).
   [[nodiscard]] cloud::CloudId home_of(std::uint32_t index) const {
     return homes_[index % homes_.size()];
   }
 
-  [[nodiscard]] std::optional<std::uint32_t> pick_block(SegmentState& seg,
-                                                        cloud::CloudId cloud,
-                                                        bool allow_overprov);
+  [[nodiscard]] std::optional<std::uint32_t> pick_block(
+      const SegmentState& seg, cloud::CloudId cloud,
+      bool allow_overprov) const;
+  // Records block `index` of `seg` as in flight to `cloud`.
+  BlockTask assign(SegmentState& seg, std::uint32_t index,
+                   cloud::CloudId cloud);
+  // True when some enabled cloud can still be handed a block of `seg`.
+  [[nodiscard]] bool assignable(const SegmentState& seg,
+                                bool allow_overprov) const;
   [[nodiscard]] bool segment_available(const SegmentState& seg) const;
   [[nodiscard]] bool segment_reliable(const SegmentState& seg) const;
   [[nodiscard]] bool segment_fully_served(const SegmentState& seg) const;
+  // Segments carrying `segment_id`, in batch order (more than one when a
+  // batch repeats a segment).
+  [[nodiscard]] const std::vector<std::size_t>& with_id(
+      const std::string& segment_id) const;
 
   CodeParams params_;
   UploadOptions options_;
@@ -179,6 +190,14 @@ class UploadScheduler {
   std::set<cloud::CloudId> disabled_;
   std::vector<FileState> files_;
   std::vector<SegmentState> segments_;
+  std::unordered_map<std::string, std::vector<std::size_t>> by_id_;
+  // Non-abandoned segments, in batch order: the only ones that can still
+  // hold up reliability, finished() or phase 2.
+  std::set<std::size_t> live_;
+  // Files [0, available_prefix_) are available. Availability only grows
+  // (done blocks are never taken back, abandoning only drops segments from
+  // the test, new files are appended), so the prefix only moves forward.
+  mutable std::size_t available_prefix_ = 0;
   std::size_t in_flight_ = 0;
 };
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <optional>
+#include <vector>
 
+#include "baselines/chunk_pipeline.h"
 #include "baselines/e2e_baselines.h"
 #include "baselines/intuitive.h"
 #include "baselines/native_app.h"
@@ -107,6 +112,52 @@ TEST(IntuitiveTest, DownloadDirection) {
   CloudSet set = clean_set(env, 0, 9);
   const double t = intuitive_download_time(env, set, 5 << 20);
   EXPECT_GT(t, 0);
+}
+
+// Per-file finish times of a striped batch (every file split over all five
+// clouds, like the intuitive baseline) through one ChunkPipeline. The
+// clouds are copies of a fresh seeded set, placed in one array either in
+// id order or reversed, so the two layouts differ only in the clouds'
+// addresses.
+std::vector<double> striped_batch_times(bool reversed, bool download) {
+  SimEnv env(11);
+  CloudSet set =
+      sim::make_cloud_set(env, sim::planetlab_locations()[0], 11);
+  std::vector<std::optional<sim::SimCloud>> storage(set.clouds.size());
+  std::vector<sim::SimCloud*> by_id(set.clouds.size());
+  std::map<sim::SimCloud*, std::size_t> connections;
+  for (std::size_t c = 0; c < set.clouds.size(); ++c) {
+    const std::size_t at = reversed ? set.clouds.size() - 1 - c : c;
+    by_id[c] = &storage[at].emplace(*set.clouds[c]);
+    connections[by_id[c]] =
+        native_app_spec(static_cast<CloudKind>(c)).connections;
+  }
+  auto pipeline = std::make_shared<ChunkPipeline>(env, download, connections);
+  std::vector<double> done_at(20, -1.0);
+  std::size_t done = 0;
+  pipeline->on_file_done = [&](std::size_t file, bool ok) {
+    done_at[file] = ok ? env.now() : -2.0;
+    ++done;
+  };
+  for (std::size_t f = 0; f < done_at.size(); ++f) {
+    std::vector<ChunkTask> chunks;
+    for (sim::SimCloud* cloud : by_id) chunks.push_back({f, cloud, 300e3});
+    pipeline->add_file(f, chunks);
+  }
+  while (done < done_at.size() && env.step()) {
+  }
+  return done_at;
+}
+
+// The pipeline used to serve clouds in pointer order, so the baselines'
+// figures moved with heap layout and build type.
+TEST(ChunkPipelineTest, ResultsDoNotDependOnCloudAddresses) {
+  for (const bool download : {false, true}) {
+    const std::vector<double> forward = striped_batch_times(false, download);
+    const std::vector<double> reversed = striped_batch_times(true, download);
+    for (const double t : forward) EXPECT_GT(t, 0) << download;
+    EXPECT_EQ(forward, reversed) << "download=" << download;
+  }
 }
 
 // --- end-to-end baselines ------------------------------------------------------

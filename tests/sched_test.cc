@@ -1,26 +1,37 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cloud/memory_cloud.h"
 #include "common/executor.h"
 #include "common/rng.h"
+#include "obs/obs.h"
 #include "sched/download_scheduler.h"
 #include "sched/monitor.h"
 #include "sched/plan.h"
 #include "sched/rebalance.h"
 #include "sched/streaming_driver.h"
 #include "sched/upload_scheduler.h"
+#include "test_seed.h"
 #include "transfer_test_util.h"
+
+UNIDRIVE_REGISTER_SEED_LISTENER()
 
 namespace unidrive::sched {
 namespace {
+
+using unidrive::testing::test_seed;
 
 CodeParams paper_params() {
   CodeParams p;  // defaults: N=5, k=3, Ks=2, Kr=3
@@ -597,6 +608,457 @@ TEST(StreamingDriverTest, ZeroConnectionBudgetStillDrains) {
   down.close();
   ASSERT_TRUE(drains(down));
   EXPECT_EQ(fetched.load(), 1);
+}
+
+// --- Event-driven settle/decide --------------------------------------------------
+//
+// The drivers re-check only the segment an event touched, and sweep every
+// pending segment only when a cloud is disabled or re-admitted (and on a
+// download cancel). The references below are the full-sweep drivers: the
+// same pump and cloud-health rules over their own scheduler, sweeping
+// every pending segment at every event (the upload one before its pump,
+// the download one after it, like the drivers). Run in lockstep with a
+// driver whose completions the test fires by hand, they must launch the
+// same tasks and fire the same callbacks, in the same order, at the same
+// events.
+
+// Launches recorded in order; the test completes them one at a time, from
+// its own thread (never on the launching stack).
+struct ManualTransfers {
+  std::mutex mu;
+  std::vector<std::pair<BlockTask, TransferDoneFn>> open;
+  std::vector<BlockTask> launched;  // since the last take_launched()
+
+  AsyncTransferFn fn() {
+    return [this](const BlockTask& task, TransferDoneFn done) {
+      std::lock_guard<std::mutex> g(mu);
+      open.emplace_back(task, std::move(done));
+      launched.push_back(task);
+      return cloud::AsyncHandle{};
+    };
+  }
+  std::vector<BlockTask> take_launched() {
+    std::lock_guard<std::mutex> g(mu);
+    return std::exchange(launched, {});
+  }
+  std::size_t open_on(cloud::CloudId c) {
+    std::lock_guard<std::mutex> g(mu);
+    return static_cast<std::size_t>(
+        std::count_if(open.begin(), open.end(),
+                      [&](const auto& o) { return o.first.cloud == c; }));
+  }
+  // Removes the i-th open transfer (or the first one on `only`, when set).
+  std::pair<BlockTask, TransferDoneFn> take(std::size_t i,
+                                            std::optional<cloud::CloudId>
+                                                only = std::nullopt) {
+    std::lock_guard<std::mutex> g(mu);
+    auto it = open.begin() + static_cast<std::ptrdiff_t>(i % open.size());
+    if (only.has_value()) {
+      it = std::find_if(open.begin(), open.end(),
+                        [&](const auto& o) { return o.first.cloud == *only; });
+    }
+    auto out = std::move(*it);
+    open.erase(it);
+    return out;
+  }
+};
+
+// Shared pump bookkeeping and cloud-health rules of both references.
+struct ReferenceBase {
+  std::vector<cloud::CloudId> clouds;
+  DriverConfig config;
+  std::map<cloud::CloudId, std::size_t> free;
+  std::map<cloud::CloudId, int> failures;
+  std::set<cloud::CloudId> disabled;
+  bool cancelled = false;
+  std::vector<BlockTask> launched;
+
+  ReferenceBase(std::vector<cloud::CloudId> c, DriverConfig cfg)
+      : clouds(std::move(c)), config(cfg) {
+    for (const cloud::CloudId id : clouds) {
+      free[id] = config.connections_per_cloud;
+    }
+  }
+  template <typename Sched>
+  void health(Sched& sched, cloud::CloudId c, bool ok) {
+    if (ok) {
+      failures[c] = 0;
+      if (disabled.erase(c) != 0) sched.set_cloud_enabled(c, true);
+    } else if (++failures[c] >= config.max_consecutive_failures &&
+               disabled.insert(c).second) {
+      sched.set_cloud_enabled(c, false);
+    }
+    ++free[c];
+  }
+  template <typename NextFn>
+  void fill(NextFn next) {
+    for (const cloud::CloudId c : clouds) {
+      while (free[c] > 0) {
+        const std::optional<BlockTask> task = next(c);
+        if (!task.has_value()) break;
+        --free[c];
+        launched.push_back(*task);
+      }
+    }
+  }
+};
+
+struct UploadReference : ReferenceBase {
+  UploadScheduler sched;
+  std::set<std::string> unsettled;
+  std::vector<std::string> settled;
+
+  UploadReference(std::vector<cloud::CloudId> c, DriverConfig cfg)
+      : ReferenceBase(c, cfg), sched(paper_params(), c, {}) {}
+
+  void pump() {
+    if (cancelled || sched.finished()) return;
+    fill([&](cloud::CloudId c) { return sched.next_task(c); });
+  }
+  void sweep() {
+    for (auto it = unsettled.begin(); it != unsettled.end();) {
+      if (!sched.segment_settled(*it)) {
+        ++it;
+        continue;
+      }
+      sched.abandon_segment(*it);
+      settled.push_back(*it);
+      it = unsettled.erase(it);
+    }
+  }
+  void add_file(const UploadFileSpec& f) {
+    for (const auto& seg : f.segments) unsettled.insert(seg.id);
+    sched.add_file(f);
+    sweep();
+    pump();
+  }
+  void complete(const BlockTask& task, bool ok) {
+    sched.on_complete(task, ok);
+    health(sched, task.cloud, ok);
+    sweep();
+    pump();
+  }
+};
+
+struct DownloadReference : ReferenceBase {
+  DownloadScheduler sched{3, {}};
+  ThroughputMonitor& monitor;
+  std::set<std::string> pending;
+  std::vector<std::pair<std::string, bool>> decided;
+
+  DownloadReference(std::vector<cloud::CloudId> c, DriverConfig cfg,
+                    ThroughputMonitor& m)
+      : ReferenceBase(c, cfg), monitor(m) {}
+
+  void pump() {
+    if (cancelled || sched.finished()) return;
+    fill([&](cloud::CloudId c) { return sched.next_task(c); });
+    sched.set_speed_order(monitor.ranked(Direction::kDownload, clouds));
+    fill([&](cloud::CloudId c) { return sched.next_hedge_task(c); });
+  }
+  void sweep() {
+    for (auto it = pending.begin(); it != pending.end();) {
+      const bool ok = sched.segment_complete(*it);
+      if (!ok && !cancelled && !sched.segment_failed(*it)) {
+        ++it;
+        continue;
+      }
+      decided.emplace_back(*it, ok);
+      it = pending.erase(it);
+    }
+  }
+  void add_file(const DownloadFileSpec& f) {
+    for (const auto& seg : f.segments) pending.insert(seg.id);
+    sched.add_file(f);
+    pump();
+    sweep();
+  }
+  void request_extra_block(const std::string& id) {
+    if (cancelled) {
+      decided.emplace_back(id, false);
+      return;
+    }
+    sched.raise_budget(id, 1);
+    pending.insert(id);
+    pump();
+    sweep();
+  }
+  void cancel() {
+    cancelled = true;
+    sweep();
+  }
+  void complete(const BlockTask& task, bool ok) {
+    sched.on_complete(task, ok);
+    health(sched, task.cloud, ok);
+    pump();
+    sweep();
+  }
+};
+
+// Files of the random jobs: mostly one segment, sometimes two, and now and
+// then a segment id an earlier file already used.
+std::vector<std::string> random_segment_ids(Rng& rng, std::size_t file) {
+  std::vector<std::string> ids{"f" + std::to_string(file)};
+  if (rng.next_below(4) == 0) ids.push_back(ids[0] + "b");
+  if (file > 0 && rng.next_below(8) == 0) {
+    ids.push_back("f" + std::to_string(rng.next_below(file)));
+  }
+  return ids;
+}
+
+// Completion outcome: mostly success. Two consecutive failures disable a
+// cloud (DriverConfig{3, 2}), so random failures disable one now and then;
+// and the first time after step 10 that a cloud has three transfers open,
+// they fail, fail and succeed: the cloud is disabled, then re-admitted.
+class Outcomes {
+ public:
+  explicit Outcomes(Rng& rng) : rng_(rng) {}
+
+  // Picks the next transfer to complete and whether it succeeds.
+  std::pair<std::pair<BlockTask, TransferDoneFn>, bool> next(
+      ManualTransfers& transfers, std::size_t step) {
+    if (!burst_cloud_.has_value() && step > 10) {
+      for (const cloud::CloudId c : five_clouds()) {
+        if (transfers.open_on(c) >= 3) {
+          burst_cloud_ = c;
+          burst_left_ = 3;
+          break;
+        }
+      }
+    }
+    if (burst_left_ > 0) {
+      --burst_left_;
+      return {transfers.take(0, burst_cloud_), burst_left_ == 0};
+    }
+    const bool ok = rng_.next_below(100) >= 10;
+    return {transfers.take(rng_.next_below(1u << 30)), ok};
+  }
+
+ private:
+  Rng& rng_;
+  std::optional<cloud::CloudId> burst_cloud_;
+  int burst_left_ = 0;
+};
+
+Status outcome_status(bool ok) {
+  return ok ? Status::ok() : make_error(ErrorCode::kUnavailable, "flaky");
+}
+
+class DriverEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DriverEquivalence, UploadSettlesWhereAFullSweepWould) {
+  Rng rng(test_seed(GetParam()));
+  const bool cancel_midway = GetParam() % 2 == 1;
+  const DriverConfig config{3, 2};
+  ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(1);
+  auto obs = std::make_shared<obs::Observability>();
+  ManualTransfers transfers;
+  std::vector<std::string> settled;
+  StreamingUploadDriver driver(
+      paper_params(), five_clouds(), config, monitor, executor,
+      transfers.fn(), UploadOptions{}, nullptr, obs,
+      [&](const std::string& id) { settled.push_back(id); });
+  UploadReference ref(five_clouds(), config);
+  Outcomes outcomes(rng);
+
+  const std::size_t files = 40;
+  std::size_t added = 0;
+  std::map<std::string, int> armed;  // callbacks each segment is owed
+  for (std::size_t step = 0;; ++step) {
+    const bool can_complete = !transfers.open.empty();
+    if (added < files && (!can_complete || rng.next_below(3) == 0)) {
+      UploadFileSpec f;
+      f.path = "/f" + std::to_string(added);
+      for (const std::string& id : random_segment_ids(rng, added)) {
+        // Re-feed an id only once its earlier admission settled: two live
+        // admissions of one id can deadlock the availability phase (the
+        // upload pipeline never feeds an id twice).
+        if (ref.unsettled.count(id) != 0) continue;
+        f.segments.push_back({id, 1000 + rng.next_below(5000)});
+        if (!ref.cancelled && ref.unsettled.count(id) == 0) ++armed[id];
+      }
+      driver.add_file(f);  // ignored once cancelled
+      if (!ref.cancelled) ref.add_file(f);
+      ++added;
+    } else if (can_complete) {
+      auto [open, ok] = outcomes.next(transfers, step);
+      open.second(outcome_status(ok));
+      ref.complete(open.first, ok);
+    } else {
+      break;
+    }
+    if (cancel_midway && added == files / 2 && !ref.cancelled) {
+      driver.cancel();
+      ref.cancelled = true;
+    }
+    ASSERT_EQ(transfers.take_launched(), std::exchange(ref.launched, {}))
+        << "step " << step;
+    ASSERT_EQ(settled, ref.settled) << "step " << step;
+  }
+  driver.close();
+  ASSERT_TRUE(drains(driver));
+
+  EXPECT_GE(obs->metrics.counter("driver.cloud_disabled").value(), 1u);
+  EXPECT_GE(obs->metrics.counter("driver.cloud_readmitted").value(), 1u);
+  // At most one callback per admission; uncancelled, exactly one (a
+  // cancelled job leaves still-assignable segments unsettled).
+  std::map<std::string, int> fired;
+  for (const std::string& id : settled) ++fired[id];
+  for (const auto& [id, n] : fired) EXPECT_LE(n, armed[id]) << id;
+  if (!cancel_midway) {
+    EXPECT_EQ(fired, armed);
+  }
+}
+
+TEST_P(DriverEquivalence, DownloadDecidesWhereAFullSweepWould) {
+  Rng rng(test_seed(GetParam() * 31 + 7));
+  const bool cancel_midway = GetParam() % 2 == 1;
+  const DriverConfig config{3, 2};
+  ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(1);
+  auto obs = std::make_shared<obs::Observability>();
+  ManualTransfers transfers;
+  std::vector<std::pair<std::string, bool>> decided;
+  StreamingDownloadDriver driver(
+      3, five_clouds(), config, monitor, executor, transfers.fn(), nullptr,
+      obs, [&](const std::string& id, bool ok) { decided.emplace_back(id, ok); });
+  DownloadReference ref(five_clouds(), config, monitor);
+  Outcomes outcomes(rng);
+
+  const std::size_t files = 40;
+  std::size_t added = 0;
+  std::map<std::string, int> armed;  // callbacks each segment is owed
+  for (std::size_t step = 0;; ++step) {
+    const bool can_complete = !transfers.open.empty();
+    const std::size_t roll = rng.next_below(12);
+    if (added < files && (!can_complete || roll < 4)) {
+      DownloadFileSpec f;
+      f.path = "/f" + std::to_string(added);
+      for (const std::string& id : random_segment_ids(rng, added)) {
+        DownloadFileSpec one = downloadable_file(id, 2);
+        one.segments[0].id = id;
+        f.segments.push_back(one.segments[0]);
+        if (!ref.cancelled && ref.pending.count(id) == 0) ++armed[id];
+      }
+      driver.add_file(f);  // ignored once cancelled
+      if (!ref.cancelled) ref.add_file(f);
+      ++added;
+    } else if (roll == 4 && !decided.empty()) {
+      // Corrupt-shard search on an already decided segment.
+      const std::string id =
+          decided[rng.next_below(decided.size())].first;
+      if (ref.pending.count(id) == 0) ++armed[id];
+      driver.request_extra_block(id);
+      ref.request_extra_block(id);
+    } else if (can_complete) {
+      auto [open, ok] = outcomes.next(transfers, step);
+      open.second(outcome_status(ok));
+      ref.complete(open.first, ok);
+    } else {
+      break;
+    }
+    if (cancel_midway && added == files * 3 / 4 && !ref.cancelled) {
+      driver.cancel();
+      ref.cancel();
+    }
+    ASSERT_EQ(transfers.take_launched(), std::exchange(ref.launched, {}))
+        << "step " << step;
+    ASSERT_EQ(decided, ref.decided) << "step " << step;
+  }
+  driver.close();
+  ASSERT_TRUE(drains(driver));
+
+  EXPECT_GE(obs->metrics.counter("driver.cloud_disabled").value(), 1u);
+  EXPECT_GE(obs->metrics.counter("driver.cloud_readmitted").value(), 1u);
+  // Every arming got exactly one callback.
+  std::map<std::string, int> fired;
+  for (const auto& [id, ok] : decided) ++fired[id];
+  EXPECT_EQ(fired, armed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DriverEquivalence,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// A segment given up (nothing assignable, never available) used to be
+// settled only after the pump that followed its last completion; that pump
+// still held the availability phase on it, and with nothing left in flight
+// the next file never started and wait() blocked forever.
+TEST(StreamingDriverTest, GivingUpASegmentDoesNotStallLaterFiles) {
+  ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(1);
+  ManualTransfers transfers;
+  std::vector<std::string> settled;
+  StreamingUploadDriver driver(
+      paper_params(), five_clouds(), DriverConfig{1, 1}, monitor, executor,
+      transfers.fn(), UploadOptions{}, nullptr, nullptr,
+      [&](const std::string& id) { settled.push_back(id); });
+  driver.add_file(one_file("a"));  // one homed block on each cloud
+  driver.add_file(one_file("b"));  // waits: every connection is busy
+  ASSERT_EQ(transfers.take_launched().size(), 5u);
+  // Clouds 0-3 fail and are disabled; cloud 4 alone can hold at most
+  // max_per_cloud = 2 < k blocks, so "a" can never become available.
+  for (const cloud::CloudId c : {0u, 1u, 2u, 3u}) {
+    transfers.take(0, c).second(make_error(ErrorCode::kUnavailable, "down"));
+  }
+  std::set<std::string> served;
+  while (!transfers.open.empty()) {
+    auto [task, done] = transfers.take(0);
+    served.insert(task.segment_id);
+    done(Status::ok());
+  }
+  driver.close();
+  ASSERT_TRUE(drains(driver));
+  EXPECT_EQ(settled, (std::vector<std::string>{"a_seg", "b_seg"}));
+  EXPECT_EQ(served, (std::set<std::string>{"a_seg", "b_seg"}));
+}
+
+// Work per event is bounded: 5,000 one-segment files stream through each
+// driver, and the settle/decide checks stay within twice the number of
+// segments plus completions (a sweep per completion would cost
+// segments x completions).
+TEST(StreamingDriverTest, SettleAndDecideChecksStayLinear) {
+  constexpr std::size_t kFiles = 5000;
+  ThroughputMonitor monitor;
+  auto executor = std::make_shared<Executor>(2);
+  auto obs = std::make_shared<obs::Observability>();
+  std::atomic<std::uint64_t> completions{0};
+  const AsyncTransferFn ok = testing::complete_on(
+      *executor, [&](const BlockTask&) {
+        ++completions;
+        return Status::ok();
+      });
+
+  StreamingUploadDriver up(paper_params(), five_clouds(), DriverConfig{},
+                           monitor, executor, ok, UploadOptions{}, nullptr,
+                           obs);
+  for (std::size_t i = 0; i < kFiles; ++i) {
+    up.add_file(one_file("u" + std::to_string(i)));
+  }
+  up.close();
+  ASSERT_TRUE(drains(up));
+  const std::uint64_t up_completions = completions.exchange(0);
+  const std::uint64_t settle_checks =
+      obs->metrics.counter("driver.up.settle_checks").value();
+  EXPECT_GE(settle_checks, kFiles);
+  EXPECT_LE(settle_checks, 2 * (kFiles + up_completions));
+
+  std::atomic<std::size_t> fetched{0};
+  StreamingDownloadDriver down(
+      3, five_clouds(), DriverConfig{}, monitor, executor, ok, nullptr, obs,
+      [&](const std::string&, bool success) {
+        if (success) ++fetched;
+      });
+  for (std::size_t i = 0; i < kFiles; ++i) {
+    down.add_file(downloadable_file("d" + std::to_string(i)));
+  }
+  down.close();
+  ASSERT_TRUE(drains(down));
+  EXPECT_EQ(fetched.load(), kFiles);
+  const std::uint64_t decide_checks =
+      obs->metrics.counter("driver.down.decide_checks").value();
+  EXPECT_GE(decide_checks, kFiles);
+  EXPECT_LE(decide_checks, 2 * (kFiles + completions.load()));
 }
 
 // --- Rebalancer -------------------------------------------------------------------
